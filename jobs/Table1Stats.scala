@@ -1,25 +1,15 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-import repro.SynthData
 import repro.exp.Tables
-import repro.graph.{GraphGen, GraphOps}
 
-/** spark-submit entrypoint for Table 1 (dataset statistics).
-  *
-  * Computes |V|, |E|, d_max, p_avg, |Δ| for every dataset stand-in via the
-  * distributed DataFrame dataflow (`GraphOps.statsDF` over
-  * `SynthData.probEdges`). Args: [scale].
+/** Entry point for Table 1 (dataset statistics): |V|, |E|, d_max, p_avg,
+  * |Δ| for every dataset stand-in, the same rows `Table1Bench` prints.
+  * Args: [scale].
   */
 object Table1Stats {
   def main(args: Array[String]): Unit = {
     val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
-    val spark = repro.exp.SparkEnv.session("Table1Stats")
-    val rows = (GraphGen.paperDatasets :+ "enwiki").map { d =>
-      Tables.T1Row(d, GraphOps.statsDF(SynthData.probEdges(spark, d, scale)))
-    }
     println("== Table 1: Dataset Statistics ==")
-    println(Tables.formatTable1(rows))
-    spark.stop()
+    println(Tables.formatTable1(Tables.table1(scale = scale)))
   }
 }

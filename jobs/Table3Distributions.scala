@@ -1,17 +1,14 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.exp.Tables
 
-/** spark-submit entrypoint for Table 3 (pokec with Normal / Pareto /
+/** Entry point for Table 3 (pokec with Normal / Pareto /
   * Uniform edge probabilities; θ ∈ {0.1, 0.2, 0.3}). Args: [scale].
   */
 object Table3Distributions {
   def main(args: Array[String]): Unit = {
     val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
-    val spark = repro.exp.SparkEnv.session("Table3Distributions")
     println("== Table 3: error across probability distributions (pokec) ==")
     println(Tables.formatTable2(Tables.table3(scale = scale)))
-    spark.stop()
   }
 }

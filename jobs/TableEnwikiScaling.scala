@@ -1,9 +1,8 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.exp.Tables
 
-/** spark-submit entrypoint for the §7.2 inline enwiki-2013 scaling table
+/** Entry point for the §7.2 inline enwiki-2013 scaling table
   * (DP vs AP runtime across θ; DP cells exceeding the budget print N.P.).
   * Args: [scale] [dpBudgetSec].
   */
@@ -11,9 +10,7 @@ object TableEnwikiScaling {
   def main(args: Array[String]): Unit = {
     val scale  = args.headOption.map(_.toDouble).getOrElse(1.0)
     val budget = args.lift(1).map(_.toDouble).getOrElse(300.0)
-    val spark  = repro.exp.SparkEnv.session("TableEnwikiScaling")
     println("== §7.2 inline table: enwiki stand-in, DP vs AP ==")
     println(Tables.formatTableEnwiki(Tables.tableEnwiki(scale = scale, dpBudgetSec = budget)))
-    spark.stop()
   }
 }

@@ -1,7 +1,5 @@
 package repro.cliques
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.graph.ProbGraph
 import scala.collection.mutable
 
@@ -12,10 +10,6 @@ import scala.collection.mutable
   * (4-clique S, member triangle Δ) the probability Pr(E_i) of the three
   * edges joining S's apex (the vertex of S not in Δ) to Δ — exactly the
   * Bernoulli indicators of Section 5.1.
-  *
-  * The DataFrame path ([[dataframe]], [[incidence]]) is the distributed
-  * dataflow: triangles joined three ways against edges to extend by an apex
-  * d > c, then exploded to (triangle, Pr(E_i)) incidence rows.
   */
 object FourCliques {
 
@@ -50,11 +44,19 @@ object FourCliques {
     def support(tid: Int): Int = triCliques(tid).length
   }
 
-  /** Encode a sorted vertex triple as a long key (n < 2^21 in our data). */
+  /** Largest vertex count [[key]] encodes without wrapping: n³ < 2^63. */
+  val MaxVertices: Int = 1 << 21
+
+  /** Largest clique count the flat 4-per-clique `Int` index can hold. */
+  val MaxCliques: Int = Int.MaxValue / 4
+
+  /** Encode a sorted vertex triple as a long key; unique while n < [[MaxVertices]]. */
   private def key(n: Long, u: Int, v: Int, w: Int): Long = (u * n + v) * n + w
 
   /** Build the incidence structure for g. */
   def build(g: ProbGraph): CliqueStructure = {
+    require(g.n < MaxVertices,
+      s"4-clique triangle keys support fewer than $MaxVertices (2^21) vertices, got ${g.n}")
     val tris = Triangles.enumerate(g)
     val n    = g.n.toLong
     val id   = new mutable.LongMap[Int](tris.size * 2)
@@ -77,6 +79,8 @@ object FourCliques {
         val x = g.adj(a); val y = g.adj(b); val z = g.adj(c)
         if (x == y && y == z) {
           if (x > w) {
+            require(nCliques < MaxCliques,
+              s"more than $MaxCliques 4-cliques overflow the flat clique index")
             val pux = g.adjProb(a); val pvx = g.adjProb(b); val pwx = g.adjProb(c)
             val puv = g.prob(u, v); val puw = g.prob(u, w); val pvw = g.prob(v, w)
             val t_uvw = t
@@ -115,43 +119,5 @@ object FourCliques {
       i += 1
     }
     new CliqueStructure(tris, cliqueTris, cliquePrE, triCliques)
-  }
-
-  /** Distributed 4-clique listing: extend canonical triangles by an apex
-    * d > c adjacent to all three. Returns
-    * (a,b,c,d, pab,pac,pbc,pad,pbd,pcd) with a < b < c < d by label.
-    */
-  def dataframe(edges: DataFrame): DataFrame = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    val tri = Triangles.dataframe(edges)
-    val canon = edges.select(
-      least($"u", $"v") as "s", greatest($"u", $"v") as "t", $"p")
-    val ead = canon.select($"s" as "a", $"t" as "d", $"p" as "pad")
-    val ebd = canon.select($"s" as "b", $"t" as "d", $"p" as "pbd")
-    val ecd = canon.select($"s" as "c", $"t" as "d", $"p" as "pcd")
-    tri
-      .join(ecd, "c")              // d > c automatically since edges are s < t
-      .join(ebd, Seq("b", "d"))
-      .join(ead, Seq("a", "d"))
-      .select($"a", $"b", $"c", $"d", $"pab", $"pac", $"pbc", $"pad", $"pbd", $"pcd")
-  }
-
-  /** Distributed incidence dataflow: one row per (4-clique, member triangle)
-    * with the member's Pr(E_i) — the input to the distributed initial-κ
-    * scoring of `NucleusScores`.
-    * Columns: x, y, z (the member triangle, x < y < z), prE.
-    */
-  def incidence(edges: DataFrame): DataFrame = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    val cl = dataframe(edges)
-    val rows = cl.select(explode(array(
-      struct($"a" as "x", $"b" as "y", $"c" as "z", ($"pad" * $"pbd" * $"pcd") as "prE"),
-      struct($"a" as "x", $"b" as "y", $"d" as "z", ($"pac" * $"pbc" * $"pcd") as "prE"),
-      struct($"a" as "x", $"c" as "y", $"d" as "z", ($"pab" * $"pbc" * $"pbd") as "prE"),
-      struct($"b" as "x", $"c" as "y", $"d" as "z", ($"pab" * $"pac" * $"pad") as "prE")
-    )) as "r")
-    rows.select($"r.x" as "x", $"r.y" as "y", $"r.z" as "z", $"r.prE" as "prE")
   }
 }

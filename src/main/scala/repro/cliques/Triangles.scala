@@ -1,16 +1,9 @@
 package repro.cliques
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.graph.ProbGraph
 
-/** Triangle enumeration.
-  *
-  * In-memory: merge-intersections over the CSR adjacency (u < v < w once
-  * each). DataFrame: degree-oriented self-join dataflow — the standard
-  * distributed triangle-listing pattern — returning canonical (a < b < c)
-  * rows with the three edge probabilities, so results diff directly against
-  * the DuckDB oracle.
+/** Triangle enumeration: merge-intersections over the CSR adjacency
+  * (u < v < w, once each).
   */
 object Triangles {
 
@@ -56,41 +49,4 @@ object Triangles {
   }
 
   def count(g: ProbGraph): Long = enumerate(g).size.toLong
-
-  /** Degree-oriented distributed triangle listing over an edge DataFrame
-    * (u, v, p). Returns (a, b, c, pab, pac, pbc) with a < b < c by label.
-    */
-  def dataframe(edges: DataFrame): DataFrame = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    // total order: rank(x) = (degree(x), x); encode as a single long since
-    // degree ≤ n ≤ 2^31 and ids are dense small longs in our generators.
-    val deg = edges.select($"u" as "x").union(edges.select($"v" as "x"))
-      .groupBy("x").agg(org.apache.spark.sql.functions.count(lit(1)) as "d")
-    val ranked = edges
-      .join(deg.withColumnRenamed("x", "u").withColumnRenamed("d", "du"), "u")
-      .join(deg.withColumnRenamed("x", "v").withColumnRenamed("d", "dv"), "v")
-      .select(
-        when($"du" < $"dv" || ($"du" === $"dv" && $"u" < $"v"), struct($"u" as "s", $"v" as "t"))
-          .otherwise(struct($"v" as "s", $"u" as "t")) as "e",
-        $"p")
-      .select($"e.s" as "s", $"e.t" as "t", $"p")
-    val e1 = ranked.select($"s" as "x", $"t" as "y", $"p" as "pxy")
-    val e2 = ranked.select($"s" as "y", $"t" as "z", $"p" as "pyz")
-    val e3 = ranked.select($"s" as "x", $"t" as "z", $"p" as "pxz")
-    val tri = e1.join(e2, "y").join(e3, Seq("x", "z"))
-    // canonicalise to label order a < b < c with probabilities keyed by pair
-    tri.select(
-      array_sort(array($"x", $"y", $"z")) as "vs",
-      map(
-        concat_ws("-", least($"x", $"y"), greatest($"x", $"y")), $"pxy",
-        concat_ws("-", least($"y", $"z"), greatest($"y", $"z")), $"pyz",
-        concat_ws("-", least($"x", $"z"), greatest($"x", $"z")), $"pxz") as "pm"
-    ).select(
-      $"vs".getItem(0) as "a", $"vs".getItem(1) as "b", $"vs".getItem(2) as "c",
-      element_at($"pm", concat_ws("-", $"vs".getItem(0), $"vs".getItem(1))) as "pab",
-      element_at($"pm", concat_ws("-", $"vs".getItem(0), $"vs".getItem(2))) as "pac",
-      element_at($"pm", concat_ws("-", $"vs".getItem(1), $"vs".getItem(2))) as "pbc"
-    )
-  }
 }

@@ -1,13 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.cliques.Triangles
 import repro.graph.ProbGraph
 
 /** Cohesiveness metrics of Section 7.4: probabilistic density (Eq. 19) and
-  * probabilistic clustering coefficient (Eq. 20). In-memory versions for the
-  * decomposition outputs plus DataFrame versions that are DuckDB-checkable.
+  * probabilistic clustering coefficient (Eq. 20).
   */
 object Metrics {
 
@@ -36,29 +33,6 @@ object Metrics {
       den += (s * s - q) / 2.0
       u += 1
     }
-    if (den == 0.0) 0.0 else 3.0 * num / den
-  }
-
-  /** DataFrame PD over an edge DataFrame (u, v, p); |V| from the edges. */
-  def pdDF(edges: DataFrame): Double = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    val nv = edges.select($"u" as "x").union(edges.select($"v" as "x")).distinct.count()
-    if (nv < 2) return 0.0
-    val s = edges.agg(sum($"p")).head.getDouble(0)
-    s / (nv.toDouble * (nv - 1) / 2.0)
-  }
-
-  /** DataFrame PCC via the triangle dataflow and a per-vertex wedge sum. */
-  def pccDF(edges: DataFrame): Double = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    val tri = Triangles.dataframe(edges)
-    val num = tri.agg(coalesce(sum($"pab" * $"pac" * $"pbc"), lit(0.0))).head.getDouble(0)
-    val perEnd = edges.select($"u" as "x", $"p").union(edges.select($"v" as "x", $"p"))
-    val den = perEnd.groupBy("x")
-      .agg(((pow(sum($"p"), 2) - sum($"p" * $"p")) / 2.0) as "wedges")
-      .agg(coalesce(sum($"wedges"), lit(0.0))).head.getDouble(0)
     if (den == 0.0) 0.0 else 3.0 * num / den
   }
 }

@@ -239,20 +239,4 @@ object Tables {
       f"${r.theta}%6.1f ${r.apSec}%10.2f $dp ${r.kMax}%6d"
     }).mkString("\n")
   }
-
-  // ------------------------------------------------------------------
-  // Figure 4 companion (not a table, used for sanity): L vs FG vs WG time
-  // ------------------------------------------------------------------
-  final case class GWRow(dataset: String, lSec: Double, fgSec: Double, wgSec: Double,
-                         nGlobal: Int, nWeakly: Int)
-
-  def globalWeaklyTimes(datasets: Seq[String], theta: Double = 0.1, n: Int = 200,
-                        scale: Double = 1.0, seed: Long = 99): Seq[GWRow] =
-    datasets.map { d =>
-      val g = GraphGen.dataset(d, scale)
-      val (local, lSec) = timed(LocalNucleus.decompose(g, theta, LocalNucleus.DP))
-      val (gs, fgSec)   = timed(GlobalNucleus.decompose(local, n, seed))
-      val (ws, wgSec)   = timed(WeaklyGlobalNucleus.decompose(local, n, seed))
-      GWRow(d, lSec, lSec + fgSec, lSec + wgSec, gs.size, ws.size)
-    }
 }

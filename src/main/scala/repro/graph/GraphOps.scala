@@ -1,30 +1,12 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.cliques.Triangles
 
-/** Dataset statistics (Table 1 columns): |V|, |E|, d_max, p_avg, |Δ|.
-  * In-memory and DataFrame versions; the DataFrame version is the
-  * distributed dataflow used by `jobs/Table1Stats` and is oracle-checked
-  * against DuckDB in the tests.
-  */
+/** Dataset statistics (Table 1 columns): |V|, |E|, d_max, p_avg, |Δ|. */
 object GraphOps {
 
   final case class Stats(nVertices: Long, nEdges: Long, dMax: Int, pAvg: Double, nTriangles: Long)
 
   def stats(g: ProbGraph): Stats =
     Stats(g.n, g.m, g.maxDegree, g.avgProb, Triangles.count(g))
-
-  def statsDF(edges: DataFrame): Stats = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    val ends = edges.select($"u" as "x").union(edges.select($"v" as "x"))
-    val nV   = ends.distinct.count()
-    val nE   = edges.count()
-    val dMax = ends.groupBy("x").agg(count(lit(1)) as "d").agg(max($"d")).head.getLong(0).toInt
-    val pAvg = edges.agg(avg($"p")).head.getDouble(0)
-    val nTri = Triangles.dataframe(edges).count()
-    Stats(nV, nE, dMax, pAvg, nTri)
-  }
 }

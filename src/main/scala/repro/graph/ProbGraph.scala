@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.collection.mutable
 
 /** A probabilistic graph G = (V, E, p): undirected simple graph with an
@@ -9,10 +8,6 @@ import scala.collection.mutable
   * Edges are canonicalised to u < v. Vertices are dense ids 0..n-1 after
   * [[ProbGraph.apply]]; the original labels are kept in `labels` so results
   * can be reported against the input ids.
-  *
-  * The in-memory form is the substrate for the peeling kernels; the
-  * DataFrame form (`u: Long, v: Long, p: Double`) is the substrate for the
-  * distributed enumeration dataflows.
   */
 final class ProbGraph private (
     val n: Int,
@@ -23,7 +18,7 @@ final class ProbGraph private (
     val adj: Array[Int],
     /** probability of the edge to the corresponding neighbour. */
     val adjProb: Array[Double]
-) extends Serializable {
+) {
 
   /** Number of undirected edges. */
   val m: Int = adj.length / 2
@@ -73,35 +68,18 @@ final class ProbGraph private (
     while (i < adj.length) { s += adjProb(i); i += 1 }
     s / 2 / m
   }
-
-  /** Induced subgraph on a vertex subset (keeps original labels). */
-  def inducedSubgraph(keep: Set[Int]): ProbGraph = {
-    val es = edges.collect { case (u, v, p) if keep(u) && keep(v) => (labels(u), labels(v), p) }
-    ProbGraph(es.toIndexedSeq)
-  }
-
-  /** Subgraph restricted to a set of canonical (u<v) edge pairs. */
-  def edgeSubgraph(keepEdges: Set[(Int, Int)]): ProbGraph = {
-    val es = edges.collect { case (u, v, p) if keepEdges((u, v)) => (labels(u), labels(v), p) }
-    ProbGraph(es.toIndexedSeq)
-  }
-
-  /** DataFrame bridge: columns u, v (original labels, u<v by label), p. */
-  def toDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    edges.toIndexedSeq
-      .map { case (u, v, p) =>
-        val (lu, lv) = (labels(u), labels(v))
-        if (lu < lv) (lu, lv, p) else (lv, lu, p)
-      }
-      .toDF("u", "v", "p")
-  }
 }
 
 object ProbGraph {
 
-  /** Build from an edge list (any orientation, duplicates collapsed keeping
-    * the first probability). Vertex labels may be arbitrary longs.
+  /** Build from an edge list. The input contract:
+    *  - every probability p must lie in (0, 1]; anything else, NaN and ±∞
+    *    included, is rejected with an `IllegalArgumentException`;
+    *  - self-loops (a, a, p) are dropped after their p is checked, so a
+    *    vertex with no other edge is not in the graph;
+    *  - (a, b) and (b, a) are one edge, and of several entries for one edge
+    *    the first probability is kept and the later ones are ignored;
+    *  - vertex labels can be any `Long`; dense ids follow label order.
     */
   def apply(edgeList: Seq[(Long, Long, Double)]): ProbGraph = {
     val canon = mutable.LinkedHashMap.empty[(Long, Long), Double]
@@ -138,13 +116,5 @@ object ProbGraph {
       v += 1
     }
     new ProbGraph(n, labels, offsets, adj, adjProb)
-  }
-
-  /** Build from a DataFrame with columns (u, v, p). Collects to the driver —
-    * the peeling phase is a driver-side kernel by design (see DESIGN.md).
-    */
-  def fromDF(df: DataFrame): ProbGraph = {
-    val rows = df.select("u", "v", "p").collect()
-    apply(rows.toIndexedSeq.map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))))
   }
 }

@@ -1,14 +1,17 @@
 package repro.cliques
 
-import repro.{Oracle, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.{GraphSql, Oracle}
+import repro.Oracle.Rows
 import repro.graph.{GraphGen, ProbGraph}
-import org.apache.spark.sql.functions._
 
 /** 4-clique enumeration and the (triangle, Pr(E_i)) incidence structure:
-  * known-count cases, internal identities, and DuckDB-oracle checks for the
-  * distributed dataflow.
+  * known-count cases, internal identities, size limits, and DuckDB-oracle
+  * checks of the in-memory structure. In the test names, "dataframe" means
+  * the relational side of a check: row tables in DuckDB and the SQL over
+  * them.
   */
-class FourCliquesSpec extends SparkSpec {
+class FourCliquesSpec extends AnyFunSuite {
 
   private def completeGraph(n: Int, p: Double = 0.9): ProbGraph =
     ProbGraph(for { a <- 0 until n; b <- a + 1 until n } yield (a.toLong, b.toLong, p))
@@ -53,53 +56,51 @@ class FourCliquesSpec extends SparkSpec {
     assert(total == 4 * cs.nCliques)
   }
 
-  private val cliqueCountSql =
-    """SELECT COUNT(*) AS cnt FROM
-      |(SELECT 1 FROM e e1
-      | JOIN e e2 ON CAST(e2.u AS BIGINT) = CAST(e1.v AS BIGINT)
-      | JOIN e e3 ON CAST(e3.u AS BIGINT) = CAST(e1.u AS BIGINT)
-      |          AND CAST(e3.v AS BIGINT) = CAST(e2.v AS BIGINT)
-      | JOIN e e4 ON CAST(e4.u AS BIGINT) = CAST(e2.v AS BIGINT)
-      | JOIN e e5 ON CAST(e5.u AS BIGINT) = CAST(e1.v AS BIGINT)
-      |          AND CAST(e5.v AS BIGINT) = CAST(e4.v AS BIGINT)
-      | JOIN e e6 ON CAST(e6.u AS BIGINT) = CAST(e1.u AS BIGINT)
-      |          AND CAST(e6.v AS BIGINT) = CAST(e4.v AS BIGINT))""".stripMargin
+  private def cliqueCount(cs: FourCliques.CliqueStructure): Rows =
+    Rows(Seq("cnt"), Seq(Seq(cs.nCliques.toLong)))
 
   test("dataframe 4-clique count matches DuckDB oracle (krogan stand-in)") {
-    val g  = GraphGen.dataset("krogan", scale = 0.15)
-    val df = g.toDF(spark)
-    val cnt = FourCliques.dataframe(df).agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(cnt, cliqueCountSql, "e" -> df)
+    val g = GraphGen.dataset("krogan", scale = 0.15)
+    Oracle.assertEquivalent(cliqueCount(FourCliques.build(g)), GraphSql.cliqueCount,
+      "e" -> GraphSql.edges(g))
   }
 
   test("dataframe matches in-memory build (counts and per-triangle support)") {
     val g  = GraphGen.graph(GraphGen.Spec(40, 150, Seq(7, 6, 5), GraphGen.UniformDist(), seed = 55))
     val cs = FourCliques.build(g)
-    val df = FourCliques.dataframe(g.toDF(spark))
-    assert(df.count() == cs.nCliques)
-    // incidence support per triangle
-    val inc = FourCliques.incidence(g.toDF(spark))
-      .groupBy("x", "y", "z").agg(count(lit(1)) as "s").collect()
-      .map(r => ((r.getLong(0), r.getLong(1), r.getLong(2)), r.getLong(3))).toMap
-    for (t <- 0 until cs.nTriangles) {
-      val key = (g.labels(cs.tris.u(t)), g.labels(cs.tris.v(t)), g.labels(cs.tris.w(t)))
-      assert(inc.getOrElse(key, 0L) == cs.support(t), s"triangle $key")
-    }
+    val e  = GraphSql.edges(g)
+    Oracle.assertEquivalent(cliqueCount(cs), GraphSql.cliqueCount, "e" -> e)
+    // incidence support per triangle; triangles in no 4-clique have no rows
+    val support = Rows(Seq("x", "y", "z", "s"), (0 until cs.nTriangles).filter(cs.support(_) > 0).map { t =>
+      val (x, y, z) = GraphSql.triangleLabels(g, cs.tris, t)
+      Seq(x, y, z, cs.support(t).toLong)
+    })
+    Oracle.assertEquivalent(support,
+      s"SELECT x, y, z, COUNT(*) AS s FROM (${GraphSql.incidence}) GROUP BY x, y, z", "e" -> e)
   }
 
   test("incidence prE values match in-memory structure") {
     val g  = GraphGen.graph(GraphGen.Spec(25, 60, Seq(6, 5), GraphGen.UniformDist(), seed = 66))
     val cs = FourCliques.build(g)
-    val inc = FourCliques.incidence(g.toDF(spark)).collect()
-      .groupBy(r => (r.getLong(0), r.getLong(1), r.getLong(2)))
-      .view.mapValues(_.map(_.getDouble(3)).sorted.toSeq).toMap
+    val inc = Oracle.query(GraphSql.incidence, "e" -> GraphSql.edges(g)).rows
+      .groupBy { case Seq(x: Long, y: Long, z: Long, _) => (x, y, z) }
+      .view.mapValues(_.map { case Seq(_, _, _, pre: Double) => pre }.sorted).toMap
+    assert(inc.size == (0 until cs.nTriangles).count(cs.support(_) > 0))
     for (t <- 0 until cs.nTriangles if cs.support(t) > 0) {
-      val key  = (g.labels(cs.tris.u(t)), g.labels(cs.tris.v(t)), g.labels(cs.tris.w(t)))
+      val key  = GraphSql.triangleLabels(g, cs.tris, t)
       val mine = cs.triCliques(t).map(c => cs.prE(c, t)).sorted.toSeq
-      val dfs  = inc(key)
-      assert(mine.size == dfs.size)
-      mine.zip(dfs).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
+      val sql  = inc(key)
+      assert(mine.size == sql.size)
+      mine.zip(sql).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
     }
+  }
+
+  test("build rejects graphs past the 2^21-vertex triangle-key limit") {
+    // a perfect matching: 2^21 vertices, no triangles
+    val matching = ProbGraph((0L until (1L << 20)).map(i => (2 * i, 2 * i + 1, 0.5)))
+    assert(matching.n == FourCliques.MaxVertices)
+    val e = intercept[IllegalArgumentException](FourCliques.build(matching))
+    assert(e.getMessage.contains("2^21"))
   }
 
   test("planted 6-clique yields expected counts in sparse background") {

@@ -1,13 +1,16 @@
 package repro.cliques
 
-import repro.{Oracle, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.{GraphSql, Oracle}
+import repro.Oracle.Rows
 import repro.graph.{GraphGen, ProbGraph}
-import org.apache.spark.sql.functions._
 
-/** Triangle enumeration: in-memory vs the distributed dataflow vs the
-  * DuckDB oracle (SQL over the canonical edge table).
+/** Triangle enumeration: known cases, and the in-memory enumeration checked
+  * against the DuckDB oracle (SQL over the canonical edge table). In the
+  * test names, "dataframe" means the relational side of a check: row tables
+  * in DuckDB and the SQL over them.
   */
-class TrianglesSpec extends SparkSpec {
+class TrianglesSpec extends AnyFunSuite {
 
   private lazy val k4 = ProbGraph(Seq(
     (1L, 2L, 0.9), (1L, 3L, 0.8), (1L, 4L, 0.7),
@@ -33,44 +36,47 @@ class TrianglesSpec extends SparkSpec {
     assert(Triangles.count(chord) == 1)
   }
 
-  private val triangleSql =
-    """SELECT CAST(e1.u AS BIGINT) AS a, CAST(e1.v AS BIGINT) AS b, CAST(e2.v AS BIGINT) AS c,
-      |       CAST(e1.p AS DOUBLE) AS pab, CAST(e3.p AS DOUBLE) AS pac, CAST(e2.p AS DOUBLE) AS pbc
-      |FROM e e1
-      |JOIN e e2 ON CAST(e2.u AS BIGINT) = CAST(e1.v AS BIGINT)
-      |JOIN e e3 ON CAST(e3.u AS BIGINT) = CAST(e1.u AS BIGINT)
-      |         AND CAST(e3.v AS BIGINT) = CAST(e2.v AS BIGINT)""".stripMargin
+  /** The enumerated triangles by label, with their edge probabilities. */
+  private def triangleRows(g: ProbGraph): Rows = {
+    val t = Triangles.enumerate(g)
+    Rows(Seq("a", "b", "c", "pab", "pac", "pbc"), (0 until t.size).map { i =>
+      val (a, b, c) = GraphSql.triangleLabels(g, t, i)
+      Seq[Any](a, b, c, g.prob(t.u(i), t.v(i)), g.prob(t.u(i), t.w(i)), g.prob(t.v(i), t.w(i)))
+    })
+  }
 
   test("dataframe enumeration matches DuckDB oracle on krogan stand-in") {
-    val g  = GraphGen.dataset("krogan", scale = 0.15)
-    val df = g.toDF(spark)
-    Oracle.assertEquivalent(Triangles.dataframe(df), triangleSql, "e" -> df)
+    val g = GraphGen.dataset("krogan", scale = 0.15)
+    Oracle.assertEquivalent(triangleRows(g), GraphSql.triangles, "e" -> GraphSql.edges(g))
   }
 
   test("dataframe enumeration matches DuckDB oracle on a dense random graph") {
-    val g  = GraphGen.graph(GraphGen.Spec(40, 250, Seq(8, 6), GraphGen.UniformDist(), seed = 21))
-    val df = g.toDF(spark)
-    Oracle.assertEquivalent(Triangles.dataframe(df), triangleSql, "e" -> df)
+    val g = GraphGen.graph(GraphGen.Spec(40, 250, Seq(8, 6), GraphGen.UniformDist(), seed = 21))
+    Oracle.assertEquivalent(triangleRows(g), GraphSql.triangles, "e" -> GraphSql.edges(g))
   }
 
   test("dataframe count equals in-memory count across datasets") {
     for (name <- Seq("krogan", "dblp", "flickr")) {
       val g = GraphGen.dataset(name, scale = 0.05)
-      assert(Triangles.dataframe(g.toDF(spark)).count() == Triangles.count(g), name)
+      Oracle.assertEquivalent(Rows(Seq("cnt"), Seq(Seq(Triangles.count(g)))),
+        s"SELECT COUNT(*) AS cnt FROM (${GraphSql.triangles})", "e" -> GraphSql.edges(g))
     }
   }
 
   test("dataframe probabilities are keyed to the right pair") {
-    val g   = GraphGen.dataset("krogan", scale = 0.1)
-    val df  = Triangles.dataframe(g.toDF(spark))
-    val chk = df.collect()
+    val g    = GraphGen.dataset("krogan", scale = 0.1)
+    val tris = Triangles.enumerate(g)
+    val prob = (0 until tris.size).map(t => GraphSql.triangleLabels(g, tris, t) -> tris.prob(t)).toMap
     val lookup = g.edges.map { case (u, v, p) => ((g.labels(u), g.labels(v)), p) }.toMap
-    chk.foreach { r =>
-      val (a, b, c) = (r.getLong(0), r.getLong(1), r.getLong(2))
+    val sql  = Oracle.query(GraphSql.triangles, "e" -> GraphSql.edges(g)).rows
+    assert(sql.size == tris.size)
+    sql.foreach { r =>
+      val Seq(a: Long, b: Long, c: Long, pab: Double, pac: Double, pbc: Double) = r
       assert(a < b && b < c)
-      assert(math.abs(r.getDouble(3) - lookup((a, b))) < 1e-12)
-      assert(math.abs(r.getDouble(4) - lookup((a, c))) < 1e-12)
-      assert(math.abs(r.getDouble(5) - lookup((b, c))) < 1e-12)
+      assert(math.abs(pab - lookup((a, b))) < 1e-12)
+      assert(math.abs(pac - lookup((a, c))) < 1e-12)
+      assert(math.abs(pbc - lookup((b, c))) < 1e-12)
+      assert(math.abs(prob((a, b, c)) - pab * pac * pbc) < 1e-12, s"Pr of ($a,$b,$c)")
     }
   }
 }

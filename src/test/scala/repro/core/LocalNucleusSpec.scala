@@ -173,6 +173,34 @@ class LocalNucleusSpec extends AnyFunSuite {
     }
   }
 
+  test("relabelling vertices and reordering edges changes neither ν nor the nuclei") {
+    val rnd = new Random(707)
+    var withNuclei = 0
+    for (trial <- 1 to 20) {
+      val g     = randomGraph(rnd, 10, 0.75)
+      val theta = 0.02 + rnd.nextDouble() * 0.2
+      val perm  = rnd.shuffle(g.labels.toSeq).zip(g.labels).toMap // old label -> new label
+      val h = ProbGraph(rnd.shuffle(g.edges.toSeq).map { case (u, v, p) =>
+        (perm(g.labels(u)), perm(g.labels(v)), p) })
+
+      def byLabels(d: LocalNucleus.Decomposition, relabel: Long => Long) = {
+        val t = d.structure.tris
+        val nu = (0 until t.size).map { i =>
+          Seq(t.u(i), t.v(i), t.w(i)).map(x => relabel(d.graph.labels(x))).sorted -> d.nu(i)
+        }.toMap
+        val nuclei = d.nucleiAt(d.kMax).map(_.vertices.map(x => relabel(d.graph.labels(x))).toSet).toSet
+        (d.kMax, nu, nuclei)
+      }
+      val (kG, nuG, nucleiG) = byLabels(LocalNucleus.decompose(g, theta, LocalNucleus.DP), perm)
+      val (kH, nuH, nucleiH) = byLabels(LocalNucleus.decompose(h, theta, LocalNucleus.DP), identity)
+      assert(kG == kH, s"trial $trial")
+      assert(nuG == nuH, s"trial $trial: ν by label triple")
+      assert(nucleiG == nucleiH, s"trial $trial: nuclei at kMax = $kG")
+      if (kG >= 1 && nucleiG.nonEmpty) withNuclei += 1
+    }
+    assert(withNuclei >= 5, s"only $withNuclei graphs had nuclei at k ≥ 1")
+  }
+
   test("θ larger than every triangle probability empties the decomposition") {
     val g   = ProbGraph(Seq((0L, 1L, 0.3), (1L, 2L, 0.3), (0L, 2L, 0.3)))
     val dec = LocalNucleus.decompose(g, 0.9, LocalNucleus.DP)

@@ -1,13 +1,16 @@
 package repro.core
 
-import repro.{Oracle, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.{GraphSql, Oracle}
+import repro.Oracle.Rows
+import repro.cliques.Triangles
 import repro.graph.{GraphGen, ProbGraph}
-import org.apache.spark.sql.functions._
 
-/** PD (Eq. 19) and PCC (Eq. 20): hand-computed cases, in-memory vs
-  * DataFrame agreement, and a DuckDB oracle check of the dataflow pieces.
+/** PD (Eq. 19) and PCC (Eq. 20): hand-computed cases, and the in-memory
+  * metrics and their ingredients checked against SQL over the edge table.
+  * In the test names, "DataFrame" means that relational side.
   */
-class MetricsSpec extends SparkSpec {
+class MetricsSpec extends AnyFunSuite {
 
   private val triangleGraph = ProbGraph(Seq((0L, 1L, 0.5), (1L, 2L, 0.6), (0L, 2L, 0.7)))
 
@@ -34,38 +37,48 @@ class MetricsSpec extends SparkSpec {
     assert(math.abs(Metrics.pcc(k5) - 1.0) < 1e-12)
   }
 
+  /** PD and PCC over the edge table, written out from Eqs. 19 and 20. */
+  private val pdPccSql =
+    s"""WITH ends AS (
+       |  SELECT CAST(u AS BIGINT) AS x, CAST(p AS DOUBLE) AS p FROM e
+       |  UNION ALL SELECT CAST(v AS BIGINT), CAST(p AS DOUBLE) FROM e),
+       |nv AS (SELECT CAST(COUNT(DISTINCT x) AS DOUBLE) AS n FROM ends),
+       |psum AS (SELECT COALESCE(SUM(CAST(p AS DOUBLE)), 0.0) AS s FROM e),
+       |tri AS (SELECT COALESCE(SUM(pab * pac * pbc), 0.0) AS num FROM (${GraphSql.triangles})),
+       |wedge AS (SELECT COALESCE(SUM(w), 0.0) AS den FROM
+       |  (SELECT (SUM(p) * SUM(p) - SUM(p * p)) / 2.0 AS w FROM ends GROUP BY x))
+       |SELECT CASE WHEN n < 2 THEN 0.0 ELSE s / (n * (n - 1) / 2.0) END AS pd,
+       |       CASE WHEN den = 0 THEN 0.0 ELSE 3.0 * num / den END AS pcc
+       |FROM nv, psum, tri, wedge""".stripMargin
+
   test("in-memory and DataFrame metrics agree on dataset stand-ins") {
     for (name <- Seq("krogan", "flickr")) {
-      val g  = GraphGen.dataset(name, scale = 0.1)
-      val df = g.toDF(spark)
-      assert(math.abs(Metrics.pd(g) - Metrics.pdDF(df)) < 1e-9, s"$name PD")
-      assert(math.abs(Metrics.pcc(g) - Metrics.pccDF(df)) < 1e-9, s"$name PCC")
+      val g = GraphGen.dataset(name, scale = 0.1)
+      val Seq(Seq(pd: Double, pcc: Double)) = Oracle.query(pdPccSql, "e" -> GraphSql.edges(g)).rows
+      assert(math.abs(Metrics.pd(g) - pd) < 1e-9, s"$name PD")
+      assert(math.abs(Metrics.pcc(g) - pcc) < 1e-9, s"$name PCC")
     }
   }
 
   test("PD ingredients match DuckDB oracle") {
-    val g  = GraphGen.dataset("krogan", scale = 0.1)
-    val df = g.toDF(spark)
-    val sparkSide = df.agg(
-      sum(col("p")) as "psum",
-      count(lit(1)).cast("double") as "edges")
-    Oracle.assertEquivalent(sparkSide,
+    val g = GraphGen.dataset("krogan", scale = 0.1)
+    val mine = Rows(Seq("psum", "edges"), Seq(Seq(g.edges.map(_._3).sum, g.m.toDouble)))
+    Oracle.assertEquivalent(mine,
       "SELECT SUM(CAST(p AS DOUBLE)) AS psum, CAST(COUNT(*) AS DOUBLE) AS edges FROM e",
-      "e" -> df)
+      "e" -> GraphSql.edges(g))
   }
 
   test("PCC numerator (triangle probability mass) matches DuckDB oracle") {
-    val g  = GraphGen.dataset("krogan", scale = 0.12)
-    val df = g.toDF(spark)
-    val num = repro.cliques.Triangles.dataframe(df)
-      .agg(coalesce(sum(col("pab") * col("pac") * col("pbc")), lit(0.0)) as "trimass")
+    val g    = GraphGen.dataset("krogan", scale = 0.12)
+    val tris = Triangles.enumerate(g)
+    val mine = Rows(Seq("trimass"), Seq(Seq(tris.prob.sum)))
     val sql =
       """SELECT COALESCE(SUM(CAST(e1.p AS DOUBLE) * CAST(e2.p AS DOUBLE) * CAST(e3.p AS DOUBLE)), 0.0) AS trimass
         |FROM e e1
         |JOIN e e2 ON CAST(e2.u AS BIGINT) = CAST(e1.v AS BIGINT)
         |JOIN e e3 ON CAST(e3.u AS BIGINT) = CAST(e1.u AS BIGINT)
         |         AND CAST(e3.v AS BIGINT) = CAST(e2.v AS BIGINT)""".stripMargin
-    Oracle.assertEquivalent(num, sql, "e" -> df)
+    Oracle.assertEquivalent(mine, sql, "e" -> GraphSql.edges(g))
   }
 
   test("nucleus subgraphs are denser than their host graph") {

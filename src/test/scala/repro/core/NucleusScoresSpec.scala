@@ -1,29 +1,42 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+import repro.{GraphSql, Oracle}
 import repro.cliques.FourCliques
-import repro.graph.GraphGen
+import repro.graph.{GraphGen, ProbGraph}
 
-/** Distributed initial-κ scoring: the Spark dataflow must agree triangle-
-  * by-triangle with the in-memory kernel's initial scores, for both DP and
-  * AP scorers.
+/** Initial nucleus scores κ (Algorithm 1, line 3) against the DuckDB
+  * oracle. κ(Δ) depends only on Pr(Δ) and Δ's Pr(E_i) multiset, so SQL over
+  * the edge table (the triangles and the 6-edge-join 4-clique incidence)
+  * fixes it; the tests score those SQL rows and compare them triangle by
+  * triangle with the kernel's initial κ, for both DP and AP scorers. In the
+  * test names, "distributed" means that relational side.
   */
-class NucleusScoresSpec extends SparkSpec {
+class NucleusScoresSpec extends AnyFunSuite {
+
+  /** Per label triple: (support c_Δ, κ) from the SQL triangles and incidence. */
+  private def sqlKappa(g: ProbGraph, theta: Double, mode: LocalNucleus.Mode): Map[(Long, Long, Long), (Int, Int)] = {
+    val e = "e" -> GraphSql.edges(g)
+    val prEs = Oracle.query(GraphSql.incidence, e).rows
+      .groupBy { case Seq(x: Long, y: Long, z: Long, _) => (x, y, z) }
+      .view.mapValues(_.map { case Seq(_, _, _, pre: Double) => pre }.toArray).toMap
+    val score = LocalNucleus.scorer(mode)
+    Oracle.query(GraphSql.triangles, e).rows.map {
+      case Seq(a: Long, b: Long, c: Long, pab: Double, pac: Double, pbc: Double) =>
+        val probs = prEs.getOrElse((a, b, c), Array.empty[Double])
+        (a, b, c) -> ((probs.length, score(pab * pac * pbc, probs, theta)))
+    }.toMap
+  }
 
   private def check(name: String, scale: Double, theta: Double, mode: LocalNucleus.Mode): Unit = {
     val g  = GraphGen.dataset(name, scale)
     val cs = FourCliques.build(g)
-    val inMem = {
-      val in = LocalNucleus.kernelInput(cs)
-      ProbPeeling.peel(in, theta, LocalNucleus.scorer(mode)).initialKappa
-    }
-    val df = NucleusScores.initialKappa(g.toDF(spark), theta, mode).collect()
-      .map(r => ((r.getLong(0), r.getLong(1), r.getLong(2)), (r.getLong(3), r.getInt(5))))
-      .toMap
-    assert(df.size == cs.nTriangles)
+    val inMem = ProbPeeling.peel(LocalNucleus.kernelInput(cs), theta, LocalNucleus.scorer(mode)).initialKappa
+    val sql = sqlKappa(g, theta, mode)
+    assert(sql.size == cs.nTriangles)
     for (t <- 0 until cs.nTriangles) {
-      val key = (g.labels(cs.tris.u(t)), g.labels(cs.tris.v(t)), g.labels(cs.tris.w(t)))
-      val (support, kappa) = df(key)
+      val key = GraphSql.triangleLabels(g, cs.tris, t)
+      val (support, kappa) = sql(key)
       assert(support == cs.support(t), s"$name support of $key")
       assert(kappa == inMem(t), s"$name κ of $key (mode $mode)")
     }
@@ -46,9 +59,8 @@ class NucleusScoresSpec extends SparkSpec {
   }
 
   test("triangles with no 4-clique get support 0 and κ ∈ {-1, 0}") {
-    val g  = GraphGen.dataset("dblp", 0.03)
-    val df = NucleusScores.initialKappa(g.toDF(spark), 0.2, LocalNucleus.DP)
-    val zeroSupport = df.filter("support = 0").collect()
-    zeroSupport.foreach(r => assert(r.getInt(5) == 0 || r.getInt(5) == -1))
+    val zeroSupport = sqlKappa(GraphGen.dataset("dblp", 0.03), 0.2, LocalNucleus.DP).values.filter(_._1 == 0)
+    assert(zeroSupport.nonEmpty)
+    zeroSupport.foreach { case (_, kappa) => assert(kappa == 0 || kappa == -1) }
   }
 }

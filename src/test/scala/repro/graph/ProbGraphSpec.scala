@@ -42,25 +42,14 @@ class ProbGraphSpec extends AnyFunSuite {
   }
 
   test("probability validation") {
-    intercept[IllegalArgumentException](ProbGraph(Seq((1L, 2L, 0.0))))
-    intercept[IllegalArgumentException](ProbGraph(Seq((1L, 2L, 1.5))))
+    for (p <- Seq(0.0, 1.5, Double.NaN, Double.PositiveInfinity))
+      intercept[IllegalArgumentException](ProbGraph(Seq((1L, 2L, p))))
   }
 
   test("neighbors sorted") {
     val g = ProbGraph(Seq((5L, 1L, 0.5), (5L, 9L, 0.5), (5L, 3L, 0.5)))
     val vid5 = java.util.Arrays.binarySearch(g.labels, 5L)
     assert(g.neighbors(vid5).toSeq == g.neighbors(vid5).toSeq.sorted)
-  }
-
-  test("induced subgraph keeps labels and probabilities") {
-    val sub = square.inducedSubgraph(Set(0, 1, 2)) // labels 1,2,3
-    assert(sub.n == 3 && sub.m == 2)
-    assert(sub.labels.toSeq == Seq(1L, 2L, 3L))
-  }
-
-  test("edgeSubgraph filters edges") {
-    val sub = square.edgeSubgraph(Set((0, 1)))
-    assert(sub.m == 1 && sub.n == 2)
   }
 
   test("random graph invariants (seeded)") {
