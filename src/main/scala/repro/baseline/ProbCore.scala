@@ -1,9 +1,8 @@
 package repro.baseline
 
-import repro.core.ProbPeeling
+import repro.core.{ProbPeeling, UnionFind}
 import repro.graph.ProbGraph
 import repro.prob.PoissonBinomial
-import scala.collection.mutable
 
 /** Probabilistic (k,η)-core decomposition (Bonchi et al., KDD 2014) — the
   * first baseline of Section 7.4. The η-degree of a vertex v is the largest
@@ -21,10 +20,8 @@ object ProbCore {
     /** Connected components of the subgraph induced by vertices with core
       * number ≥ k (the (k,η)-cores).
       */
-    def coresAt(k: Int): Seq[ProbGraph] = {
-      val keep  = (0 until graph.n).filter(coreNumber(_) >= k).toSet
-      components(graph, keep)
-    }
+    def coresAt(k: Int): Seq[ProbGraph] =
+      components(graph, graph.edges.filter { case (u, v, _) => coreNumber(u) >= k && coreNumber(v) >= k })
   }
 
   def decompose(g: ProbGraph, eta: Double): Decomposition = {
@@ -49,16 +46,13 @@ object ProbCore {
     Decomposition(g, eta, res.nu)
   }
 
-  /** Connected components of the induced subgraph on `keep`, as labeled
-    * probabilistic subgraphs (isolated vertices dropped).
+  /** Connected components (via shared vertices) of a kept edge list, as
+    * labeled probabilistic subgraphs.
     */
-  private[baseline] def components(g: ProbGraph, keep: Set[Int]): Seq[ProbGraph] = {
-    val parent = mutable.HashMap.empty[Int, Int]
-    def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); r }
-    keep.foreach(v => parent(v) = v)
-    val kept = g.edges.filter { case (u, v, _) => keep(u) && keep(v) }
-    kept.foreach { case (u, v, _) => val (ru, rv) = (find(u), find(v)); if (ru != rv) parent(ru) = rv }
-    kept.groupBy { case (u, _, _) => find(u) }.values.toSeq.map { es =>
+  private[baseline] def components(g: ProbGraph, kept: Array[(Int, Int, Double)]): Seq[ProbGraph] = {
+    val uf = new UnionFind(g.n)
+    kept.foreach { case (u, v, _) => uf.union(u, v) }
+    kept.groupBy { case (u, _, _) => uf.find(u) }.values.toSeq.map { es =>
       ProbGraph(es.toIndexedSeq.map { case (u, v, p) => (g.labels(u), g.labels(v), p) })
     }
   }

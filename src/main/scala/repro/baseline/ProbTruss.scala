@@ -4,7 +4,6 @@ import repro.cliques.Triangles
 import repro.core.ProbPeeling
 import repro.graph.ProbGraph
 import repro.prob.PoissonBinomial
-import scala.collection.mutable
 
 /** Probabilistic local (k,γ)-truss decomposition (Huang, Lu, Lakshmanan,
   * SIGMOD 2016) — the second baseline of Section 7.4. The score of an edge
@@ -25,23 +24,21 @@ object ProbTruss {
     /** Connected components of the subgraph of edges with truss number ≥ k. */
     def trussesAt(k: Int): Seq[ProbGraph] = {
       val kept = edgeList.zipWithIndex.collect { case (e, i) if trussNumber(i) >= k => e }
-      componentsOfEdges(graph, kept)
+      ProbCore.components(graph, kept)
     }
   }
 
   def decompose(g: ProbGraph, gamma: Double): Decomposition = {
-    val edges  = g.edges
-    val edgeId = mutable.HashMap.empty[(Int, Int), Int]
-    edges.zipWithIndex.foreach { case ((u, v, _), i) => edgeId((u, v)) = i }
-    val tris = Triangles.enumerate(g)
+    val edges    = g.edges
+    val tris     = Triangles.enumerate(g)
+    val triEdges = Triangles.edgeIds(g, tris)
 
     val groupItems = new Array[Array[Int]](tris.size)
     val groupPrE   = new Array[Array[Double]](tris.size)
     val degCount   = new Array[Int](edges.length)
     var t = 0
     while (t < tris.size) {
-      val (u, v, w) = (tris.u(t), tris.v(t), tris.w(t))
-      val (euv, euw, evw) = (edgeId((u, v)), edgeId((u, w)), edgeId((v, w)))
+      val (euv, euw, evw) = (triEdges(3 * t), triEdges(3 * t + 1), triEdges(3 * t + 2))
       val (puv, puw, pvw) = (edges(euv)._3, edges(euw)._3, edges(evw)._3)
       groupItems(t) = Array(euv, euw, evw)
       groupPrE(t)   = Array(puw * pvw, puv * pvw, puv * puw) // the two wing edges
@@ -58,18 +55,5 @@ object ProbTruss {
     val in = ProbPeeling.Input(edges.map(_._3), groupItems, groupPrE, itemGroups)
     val res = ProbPeeling.peel(in, gamma, (p, probs, th) => PoissonBinomial.kappaFast(p, probs, th))
     Decomposition(g, gamma, edges, res.nu)
-  }
-
-  /** Components over a kept edge list (connected via shared vertices). */
-  private def componentsOfEdges(g: ProbGraph, kept: Array[(Int, Int, Double)]): Seq[ProbGraph] = {
-    val parent = mutable.HashMap.empty[Int, Int]
-    def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); r }
-    kept.foreach { case (u, v, _) =>
-      parent.getOrElseUpdate(u, u); parent.getOrElseUpdate(v, v)
-      val (ru, rv) = (find(u), find(v)); if (ru != rv) parent(ru) = rv
-    }
-    kept.groupBy { case (u, _, _) => find(u) }.values.toSeq.map { es =>
-      ProbGraph(es.toIndexedSeq.map { case (u, v, p) => (g.labels(u), g.labels(v), p) })
-    }
   }
 }

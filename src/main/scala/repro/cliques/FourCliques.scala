@@ -40,6 +40,17 @@ object FourCliques {
       throw new NoSuchElementException(s"triangle $tid not in clique $c")
     }
 
+    /** The cliques whose four member triangles all satisfy `p`. */
+    def cliquesWhere(p: Int => Boolean): Array[Boolean] = {
+      val out = new Array[Boolean](nCliques)
+      var c = 0
+      while (c < nCliques) {
+        out(c) = p(cliqueTris(4 * c)) && p(cliqueTris(4 * c + 1)) && p(cliqueTris(4 * c + 2)) && p(cliqueTris(4 * c + 3))
+        c += 1
+      }
+      out
+    }
+
     /** 4-clique support (number of 4-cliques containing each triangle). */
     def support(tid: Int): Int = triCliques(tid).length
   }

@@ -48,5 +48,12 @@ object Triangles {
     TriangleList(bu.result(), bv.result(), bw.result(), bp.result())
   }
 
+  /** Flat, 3 per triangle: the indices in `g.edges` of its edges (u,v), (u,w), (v,w). */
+  def edgeIds(g: ProbGraph, tris: TriangleList): Array[Int] = {
+    val ids = g.edgeIds
+    def id(a: Int, b: Int): Int = ids(g.slot(a, b))
+    (0 until tris.size).flatMap(t => Array(id(tris.u(t), tris.v(t)), id(tris.u(t), tris.w(t)), id(tris.v(t), tris.w(t)))).toArray
+  }
+
   def count(g: ProbGraph): Long = enumerate(g).size.toLong
 }

@@ -1,76 +1,121 @@
 package repro.core
 
-import repro.cliques.FourCliques
+import repro.cliques.{FourCliques, Triangles}
 import repro.graph.ProbGraph
 
 /** Deterministic (3,4)-nucleus decomposition (Definition 3, [47]) — the
-  * substrate the global / weakly-global algorithms decompose each sampled
+  * substrate the global / weakly-global algorithms check each sampled
   * possible world with, and the k = ∞-probability degenerate case of the
   * probabilistic kernel (all probabilities 1, κ = alive 4-clique count).
   */
 object DetNucleus {
 
+  /** The clique structure of a graph `graph`, built once, over which a
+    * possible world is an edge mask in `edges` order (the §6 space note: a
+    * world is a bit per edge). A triangle is alive in a world iff its 3
+    * edges are present, a 4-clique iff its 4 member triangles are alive.
+    */
+  final class WorldStructure(val graph: ProbGraph) {
+    val edges: Array[(Int, Int, Double)] = graph.edges
+    val cs: FourCliques.CliqueStructure  = FourCliques.build(graph)
+    /** Flat, 3 edge ids per triangle. */
+    val triEdges: Array[Int] = Triangles.edgeIds(graph, cs.tris)
+
+    /** Id of triangle u < v < w, negative if absent (triangles are listed in lexicographic order). */
+    def triangleId(u: Int, v: Int, w: Int): Int = java.util.Arrays.binarySearch(keys, key(u, v, w))
+    private def key(u: Int, v: Int, w: Int): Long = (u.toLong * graph.n + v) * graph.n + w
+    private lazy val keys = Array.tabulate(cs.nTriangles)(t => key(cs.tris.u(t), cs.tris.v(t), cs.tris.w(t)))
+
+    /** The triangles of the world `mask`. */
+    def aliveTriangles(mask: Array[Boolean]): Array[Boolean] = {
+      val out = new Array[Boolean](cs.nTriangles)
+      var t = 0
+      while (t < cs.nTriangles) { out(t) = mask(triEdges(3 * t)) && mask(triEdges(3 * t + 1)) && mask(triEdges(3 * t + 2)); t += 1 }
+      out
+    }
+  }
+
   /** ν_det per triangle of `g` (edge probabilities ignored): the largest k
     * such that the triangle belongs to a deterministic k-(3,4)-nucleus.
-    * Triangles in no 4-clique get ν_det = 0.
+    * Triangles in no 4-clique get ν_det = 0. This rebuilds the structure;
+    * it is the reference the per-world [[levelSet]] is tested against.
     */
   def decompose(g: ProbGraph): (FourCliques.CliqueStructure, Array[Int]) = {
     val cs = FourCliques.build(g)
-    val in = {
-      val base = LocalNucleus.kernelInput(cs)
-      base.copy(
-        itemProb = Array.fill(base.nItems)(1.0),
-        groupPrE = base.groupPrE.map(arr => Array.fill(arr.length)(1.0))
-      )
-    }
     // with all probabilities 1, Pr[ζ ≥ k] = 1 for k ≤ c: κ = alive count
-    val res = ProbPeeling.peel(in, 0.5, (p, probs, th) => probs.length)
-    (cs, res.nu)
+    (cs, ProbPeeling.peel(LocalNucleus.kernelInput(cs), 0.5, (_, probs, _) => probs.length).nu)
   }
 
   /** Is the whole graph `g` (probabilities ignored) a deterministic
-    * k-nucleus? Checks Definition 3: (1) every edge lies in a 4-clique,
-    * (2) every triangle has 4-clique support ≥ k, (3) all triangles are
-    * s-connected (share-a-4-clique connectivity), and that the graph has no
-    * isolated vertices outside the clique union (it is "a union of
-    * s-cliques"). The empty graph is not a nucleus.
+    * k-nucleus? The world predicate below with every edge present.
     */
   def isKNucleus(g: ProbGraph, k: Int): Boolean = {
-    if (g.m == 0) return false
-    val cs = FourCliques.build(g)
-    if (cs.nCliques == 0) return false
-    // (2) support ≥ k for every triangle
-    var t = 0
-    while (t < cs.nTriangles) {
-      if (cs.support(t) < k) return false
-      t += 1
-    }
-    // (1) every edge in a 4-clique ⇔ every edge in a triangle that is in a
-    // clique; collect covered edges from triangles in ≥1 clique — but with
-    // support ≥ k ≥ 0 checked above, any triangle with 0 cliques fails for
-    // k ≥ 1; for k = 0 a triangle outside all cliques breaks cliqueness.
-    val coveredEdges = scala.collection.mutable.HashSet.empty[(Int, Int)]
-    t = 0
-    while (t < cs.nTriangles) {
-      if (cs.support(t) > 0) {
-        coveredEdges += ((cs.tris.u(t), cs.tris.v(t)))
-        coveredEdges += ((cs.tris.u(t), cs.tris.w(t)))
-        coveredEdges += ((cs.tris.v(t), cs.tris.w(t)))
+    val ws = new WorldStructure(g)
+    isKNucleus(ws, Array.fill(ws.edges.length)(true), k)
+  }
+
+  /** Is the world `mask` of `ws` a deterministic k-nucleus? Definition 3:
+    * it has an edge and a 4-clique, (1) every present edge lies in a
+    * 4-clique (it is a union of 4-cliques), (2) every triangle has 4-clique
+    * support ≥ k, and (3) the triangles of its 4-cliques are s-connected
+    * (share-a-4-clique connectivity).
+    */
+  def isKNucleus(ws: WorldStructure, mask: Array[Boolean], k: Int): Boolean = {
+    val cs     = ws.cs
+    val alive  = ws.aliveTriangles(mask)
+    val clique = cs.cliquesWhere(alive(_))
+    val support = new Array[Int](cs.nTriangles)
+    val covered = new Array[Boolean](mask.length)
+    val uf      = new UnionFind(cs.nTriangles)
+    var i = 0
+    while (i < cs.cliqueTris.length) {
+      if (clique(i / 4)) {
+        val t = cs.cliqueTris(i)
+        support(t) += 1
+        covered(ws.triEdges(3 * t)) = true; covered(ws.triEdges(3 * t + 1)) = true; covered(ws.triEdges(3 * t + 2)) = true
+        uf.union(t, cs.cliqueTris(i - i % 4))
       }
-      t += 1
+      i += 1
     }
-    if (coveredEdges.size != g.m) return false
-    // (3) s-connectivity of triangles via shared 4-cliques
-    val parent = Array.tabulate(cs.nTriangles)(identity)
-    def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); r }
-    var c = 0
-    while (c < cs.nCliques) {
-      val r = find(cs.cliqueTris(4 * c))
-      var i = 4 * c + 1
-      while (i < 4 * c + 4) { parent(find(cs.cliqueTris(i))) = r; i += 1 }
-      c += 1
+    val inClique = (0 until cs.nTriangles).filter(support(_) > 0)
+    inClique.nonEmpty && mask.indices.forall(e => !mask(e) || covered(e)) &&
+      alive.indices.forall(t => !alive(t) || support(t) >= k) &&
+      inClique.forall(uf.find(_) == uf.find(inClique.head))
+  }
+
+  /** The triangles of the world `mask` with ν_det ≥ k: level-k pruning
+    * repeatedly drops a triangle with fewer than k alive 4-cliques and kills
+    * its cliques; what is left is the world's k-nucleus triangles.
+    */
+  def levelSet(ws: WorldStructure, mask: Array[Boolean], k: Int): Array[Boolean] = {
+    val cs      = ws.cs
+    val alive   = ws.aliveTriangles(mask)
+    val clique  = cs.cliquesWhere(alive(_))
+    val support = new Array[Int](cs.nTriangles)
+    var i = 0
+    while (i < cs.cliqueTris.length) { if (clique(i / 4)) support(cs.cliqueTris(i)) += 1; i += 1 }
+    // each triangle is pushed once: initially below k, or on falling to k − 1
+    val stack = new Array[Int](cs.nTriangles)
+    var top = 0
+    var t = 0
+    while (t < cs.nTriangles) { if (alive(t) && support(t) < k) { stack(top) = t; top += 1 }; t += 1 }
+    while (top > 0) {
+      top -= 1
+      val dead = stack(top)
+      alive(dead) = false
+      cs.triCliques(dead).foreach { c =>
+        if (clique(c)) {
+          clique(c) = false
+          var j = 4 * c
+          while (j < 4 * c + 4) {
+            val m = cs.cliqueTris(j)
+            support(m) -= 1
+            if (alive(m) && support(m) == k - 1) { stack(top) = m; top += 1 }
+            j += 1
+          }
+        }
+      }
     }
-    val roots = (0 until cs.nTriangles).filter(t0 => cs.support(t0) > 0).map(find).distinct
-    roots.size == 1
+    alive
   }
 }

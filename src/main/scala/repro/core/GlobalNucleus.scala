@@ -29,26 +29,24 @@ object GlobalNucleus {
   }
 
   /** All g-(k,θ)-nuclei for k = 1..kMax of the local decomposition. */
-  def decompose(local: LocalNucleus.Decomposition, nSamples: Int, seed: Long): Seq[ProbNucleus] =
+  def decompose(local: LocalNucleus.Decomposition, nSamples: Int, seed: Long): Seq[ProbNucleus] = {
+    requireSamples(nSamples)
     (1 to local.kMax).flatMap(k => decomposeAt(local, k, nSamples, seed + k))
+  }
+
+  /** Tails are success counts over n worlds: n = 0 would make them NaN. */
+  private[core] def requireSamples(nSamples: Int): Unit =
+    require(nSamples >= 1, s"Monte-Carlo sample size must be at least 1, got $nSamples")
 
   /** g-(k,θ)-nuclei at one level k. */
   def decomposeAt(local: LocalNucleus.Decomposition, k: Int,
                   nSamples: Int, seed: Long): Seq[ProbNucleus] = {
+    requireSamples(nSamples)
     val cs    = local.structure
     val theta = local.theta
     // k-alive cliques of C_k: all four member triangles have ν ≥ k
-    val kAlive = new Array[Boolean](cs.nCliques)
-    var c = 0
-    while (c < cs.nCliques) {
-      var ok = true
-      var i = 4 * c
-      while (i < 4 * c + 4) { if (local.nu(cs.cliqueTris(i)) < k) ok = false; i += 1 }
-      kAlive(c) = ok
-      c += 1
-    }
-    val aliveCliquesOf: Int => Array[Int] =
-      t => local.structure.triCliques(t).filter(kAlive)
+    val kAlive = cs.cliquesWhere(local.nu(_) >= k)
+    val aliveCliquesOf: Int => Array[Int] = t => cs.triCliques(t).filter(kAlive(_))
 
     val inCandidate = new Array[Boolean](cs.nTriangles)
     val out         = mutable.ArrayBuffer.empty[ProbNucleus]
@@ -57,33 +55,21 @@ object GlobalNucleus {
       if (!inCandidate(t) && local.nu(t) >= k && aliveCliquesOf(t).nonEmpty) {
         // closure: add all C_k cliques of any member triangle that has
         // fewer than k cliques inside the candidate (Algorithm 2, lines 6-8)
-        val cliques   = mutable.LinkedHashSet.empty[Int]
-        val triCount  = mutable.HashMap.empty[Int, Int].withDefaultValue(0)
-        val work      = mutable.Queue.empty[Int]
+        val cliques  = mutable.HashSet.empty[Int]
+        val triCount = mutable.HashMap.empty[Int, Int].withDefaultValue(0)
         def addCliques(tri: Int): Unit = aliveCliquesOf(tri).foreach { cl =>
-          if (cliques.add(cl)) {
-            cs.members(cl).foreach { m =>
-              val cnt = triCount(m) + 1
-              triCount(m) = cnt
-              if (cnt == 1) work += m // newly in H: may need its own closure
-            }
-          }
+          if (cliques.add(cl)) cs.members(cl).foreach(m => triCount(m) += 1)
         }
         addCliques(t)
-        var stable = false
-        while (!stable) {
-          stable = true
-          val pending = triCount.keysIterator.filter(m => triCount(m) < k).toArray
-          pending.foreach { m =>
-            val before = cliques.size
-            addCliques(m)
-            if (cliques.size != before) stable = false
-          }
+        // repeat passes over the under-supported members until one adds nothing
+        var before = -1
+        while (cliques.size != before) {
+          before = cliques.size
+          triCount.keysIterator.filter(triCount(_) < k).toArray.foreach(addCliques)
         }
         val candTris = triCount.keysIterator.toArray
         candTris.foreach(inCandidate(_) = true)
-        out ++= validate(local.graph, cs, candTris, cliques.toArray, k, theta, nSamples,
-                         seed + t)
+        out ++= validate(local.graph, cs, candTris, k, theta, nSamples, seed + t)
       }
       t += 1
     }
@@ -92,55 +78,34 @@ object GlobalNucleus {
 
   /** Monte-Carlo validation of one candidate (Algorithm 2, lines 9-16). */
   private def validate(g: ProbGraph, cs: repro.cliques.FourCliques.CliqueStructure,
-                       candTris: Array[Int], candCliques: Array[Int], k: Int,
+                       candTris: Array[Int], k: Int,
                        theta: Double, nSamples: Int, seed: Long): Option[ProbNucleus] = {
-    // candidate subgraph: union of its 4-cliques' edges (labels preserved)
-    val edgeSet = mutable.LinkedHashSet.empty[(Int, Int)]
-    candTris.foreach { tid =>
-      edgeSet += ((cs.tris.u(tid), cs.tris.v(tid)))
-      edgeSet += ((cs.tris.u(tid), cs.tris.w(tid)))
-      edgeSet += ((cs.tris.v(tid), cs.tris.w(tid)))
-    }
-    candCliques.foreach { cl =>
-      val vs = cs.members(cl).flatMap(tid => Array(cs.tris.u(tid), cs.tris.v(tid), cs.tris.w(tid))).distinct.sorted
-      var a = 0
-      while (a < vs.length) {
-        var b = a + 1
-        while (b < vs.length) { edgeSet += ((vs(a), vs(b))); b += 1 }
-        a += 1
-      }
-    }
-    val labeledEdges = edgeSet.toArray.map { case (u, v) =>
-      (g.labels(u), g.labels(v), g.prob(u, v))
-    }
-    val h   = ProbGraph(labeledEdges.toIndexedSeq)
-    val rnd = new Random(seed)
-    val hEdges = h.edges
-    // per-triangle success counts, keyed by label triple
-    val triLabels = candTris.map { tid =>
-      (g.labels(cs.tris.u(tid)), g.labels(cs.tris.v(tid)), g.labels(cs.tris.w(tid)))
-    }
-    val counts = mutable.HashMap.empty[(Long, Long, Long), Int].withDefaultValue(0)
+    // candidate subgraph: union of its 4-cliques' edges (labels preserved),
+    // which are its triangles' edges since every member triangle is in it
+    val labeledEdges = candTris.flatMap { t =>
+      val (u, v, w) = (cs.tris.u(t), cs.tris.v(t), cs.tris.w(t))
+      Array((u, v), (u, w), (v, w))
+    }.distinct.map { case (u, v) => (g.labels(u), g.labels(v), g.prob(u, v)) }
+    val h  = ProbGraph(labeledEdges.toIndexedSeq)
+    val ws = new DetNucleus.WorldStructure(h)
+    // the candidate's triangles in h: both graphs number vertices in label order
+    def hId(x: Int): Int = java.util.Arrays.binarySearch(h.labels, g.labels(x))
+    val hTris = candTris.map(t => ws.triangleId(hId(cs.tris.u(t)), hId(cs.tris.v(t)), hId(cs.tris.w(t))))
+    val counts = new Array[Int](hTris.length)
+    val rnd    = new Random(seed)
     var s = 0
     while (s < nSamples) {
-      val world = Sampler.worldGraph(h, hEdges, Sampler.sampleMask(hEdges, rnd))
-      if (DetNucleus.isKNucleus(world, k)) {
-        triLabels.foreach { case key @ (a, b, c) =>
-          if (containsTriangle(world, a, b, c)) counts(key) += 1
-        }
+      val mask = Sampler.sampleMask(ws.edges, rnd)
+      if (DetNucleus.isKNucleus(ws, mask, k)) {
+        val alive = ws.aliveTriangles(mask)
+        var i = 0
+        while (i < hTris.length) { if (alive(hTris(i))) counts(i) += 1; i += 1 }
       }
       s += 1
     }
-    val minTail = triLabels.map(counts(_).toDouble / nSamples).min
+    val minTail = counts.min.toDouble / nSamples
     if (minTail >= theta)
       Some(ProbNucleus(k, h.labels.clone(), labeledEdges, minTail))
     else None
-  }
-
-  private[core] def containsTriangle(world: ProbGraph, a: Long, b: Long, c: Long): Boolean = {
-    def idx(l: Long): Int = java.util.Arrays.binarySearch(world.labels, l)
-    val (ia, ib, ic) = (idx(a), idx(b), idx(c))
-    ia >= 0 && ib >= 0 && ic >= 0 &&
-      world.hasEdge(ia, ib) && world.hasEdge(ia, ic) && world.hasEdge(ib, ic)
   }
 }

@@ -97,57 +97,32 @@ object LocalNucleus {
   private def buildNuclei(d: Decomposition, k: Int): Seq[Nucleus] = {
     val cs = d.structure
     val nT = cs.nTriangles
-    val parent = Array.tabulate(nT)(identity)
-    def find(x: Int): Int = {
-      var r = x
-      while (parent(r) != r) r = parent(r)
-      var c = x
-      while (parent(c) != r) { val nx = parent(c); parent(c) = r; c = nx }
-      r
-    }
-    def union(a: Int, b: Int): Unit = { val ra = find(a); val rb = find(b); if (ra != rb) parent(ra) = rb }
-
-    val kAlive = new Array[Boolean](cs.nCliques)
-    var c = 0
-    while (c < cs.nCliques) {
-      var ok = true
-      var i = 4 * c
-      while (i < 4 * c + 4) { if (d.nu(cs.cliqueTris(i)) < k) ok = false; i += 1 }
-      if (ok) {
-        kAlive(c) = true
-        union(cs.cliqueTris(4 * c), cs.cliqueTris(4 * c + 1))
-        union(cs.cliqueTris(4 * c), cs.cliqueTris(4 * c + 2))
-        union(cs.cliqueTris(4 * c), cs.cliqueTris(4 * c + 3))
-      }
-      c += 1
-    }
-    // group triangles by component, keeping only triangles covered by a
-    // k-alive clique (cliqueness precondition)
+    val kAlive  = cs.cliquesWhere(d.nu(_) >= k)
+    val uf      = new UnionFind(nT)
+    // only triangles covered by a k-alive clique (cliqueness precondition)
     val covered = new Array[Boolean](nT)
-    c = 0
-    while (c < cs.nCliques) {
-      if (kAlive(c)) {
-        var i = 4 * c
-        while (i < 4 * c + 4) { covered(cs.cliqueTris(i)) = true; i += 1 }
-      }
-      c += 1
+    var i = 0
+    while (i < cs.cliqueTris.length) {
+      if (kAlive(i / 4)) { uf.union(cs.cliqueTris(i - i % 4), cs.cliqueTris(i)); covered(cs.cliqueTris(i)) = true }
+      i += 1
     }
-    val comps = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Int]]
-    var t = 0
-    while (t < nT) {
-      if (covered(t)) comps.getOrElseUpdate(find(t), mutable.ArrayBuffer.empty) += t
-      t += 1
+    uf.components(covered(_)).map { triIds =>
+      val (vs, es) = span(d.graph, cs, triIds)
+      Nucleus(k, triIds, vs, es)
     }
-    comps.values.toSeq.map { triIds =>
-      val vs = mutable.SortedSet.empty[Int]
-      val es = mutable.LinkedHashSet.empty[(Int, Int)]
-      triIds.foreach { tid =>
-        val (u, v, w) = (cs.tris.u(tid), cs.tris.v(tid), cs.tris.w(tid))
-        vs += u; vs += v; vs += w
-        es += ((u, v)); es += ((u, w)); es += ((v, w))
-      }
-      val edges = es.toArray.map { case (u, v) => (u, v, d.graph.prob(u, v)) }
-      Nucleus(k, triIds.toArray, vs.toArray, edges)
+  }
+
+  /** The vertices (ascending) and edges (first seen first, with their
+    * probabilities) of a set of triangles of `g`.
+    */
+  private[core] def span(g: ProbGraph, cs: CliqueStructure, triIds: Array[Int]): (Array[Int], Array[(Int, Int, Double)]) = {
+    val vs = mutable.SortedSet.empty[Int]
+    val es = mutable.LinkedHashSet.empty[(Int, Int)]
+    triIds.foreach { tid =>
+      val (u, v, w) = (cs.tris.u(tid), cs.tris.v(tid), cs.tris.w(tid))
+      vs += u; vs += v; vs += w
+      es += ((u, v)); es += ((u, w)); es += ((v, w))
     }
+    (vs.toArray, es.toArray.map { case (u, v) => (u, v, g.prob(u, v)) })
   }
 }

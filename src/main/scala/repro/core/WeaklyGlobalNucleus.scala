@@ -2,83 +2,59 @@ package repro.core
 
 import repro.graph.ProbGraph
 import repro.prob.Sampler
-import repro.cliques.FourCliques
-import scala.collection.mutable
 import scala.util.Random
 
 /** w-NuDecomp (Section 6, Algorithm 3): approximate weakly-global nucleus
   * decomposition. Every w-(k,θ)-nucleus is an ℓ-(k,θ)-nucleus, so each
-  * local nucleus H is a candidate: sample n worlds of H, deterministically
-  * decompose each world, and credit a triangle whenever it lies in a
-  * k-nucleus of the world (global_score). Triangles with
+  * local nucleus H is a candidate: sample n worlds of H, and credit a
+  * triangle whenever it lies in a k-nucleus of the world (global_score),
+  * i.e. survives the world's level-k pruning. Triangles with
   * global_score/n ≥ θ are grouped into connected (shared-4-clique) unions.
   */
 object WeaklyGlobalNucleus {
 
   /** All w-(k,θ)-nuclei for k = 1..kMax. */
-  def decompose(local: LocalNucleus.Decomposition, nSamples: Int, seed: Long): Seq[GlobalNucleus.ProbNucleus] =
+  def decompose(local: LocalNucleus.Decomposition, nSamples: Int, seed: Long): Seq[GlobalNucleus.ProbNucleus] = {
+    GlobalNucleus.requireSamples(nSamples)
     (1 to local.kMax).flatMap(k => decomposeAt(local, k, nSamples, seed + 7919L * k))
+  }
 
   /** w-(k,θ)-nuclei at one level k. */
   def decomposeAt(local: LocalNucleus.Decomposition, k: Int,
                   nSamples: Int, seed: Long): Seq[GlobalNucleus.ProbNucleus] = {
+    GlobalNucleus.requireSamples(nSamples)
     val g     = local.graph
     val theta = local.theta
     local.nucleiAt(k).zipWithIndex.flatMap { case (cand, ci) =>
-      // candidate subgraph with original labels
-      val labeledEdges = cand.edges.map { case (u, v, p) => (g.labels(u), g.labels(v), p) }
-      val h            = ProbGraph(labeledEdges.toIndexedSeq)
-      val hEdges       = h.edges
-      val rnd          = new Random(seed + ci)
-      val score        = mutable.HashMap.empty[(Long, Long, Long), Int].withDefaultValue(0)
+      // candidate subgraph with original labels, its structure built once
+      val h     = ProbGraph(cand.edges.toIndexedSeq.map { case (u, v, p) => (g.labels(u), g.labels(v), p) })
+      val ws    = new DetNucleus.WorldStructure(h)
+      val hcs   = ws.cs
+      val rnd   = new Random(seed + ci)
+      val score = new Array[Int](hcs.nTriangles)
       var s = 0
       while (s < nSamples) {
-        val world    = Sampler.worldGraph(h, hEdges, Sampler.sampleMask(hEdges, rnd))
-        val (cs, nu) = DetNucleus.decompose(world)
+        val inLevel = DetNucleus.levelSet(ws, Sampler.sampleMask(ws.edges, rnd), k)
         var t = 0
-        while (t < cs.nTriangles) {
-          if (nu(t) >= k) {
-            val key = (world.labels(cs.tris.u(t)), world.labels(cs.tris.v(t)),
-                       world.labels(cs.tris.w(t)))
-            score(key) += 1
-          }
-          t += 1
-        }
+        while (t < hcs.nTriangles) { if (inLevel(t)) score(t) += 1; t += 1 }
         s += 1
       }
       // qualifying triangles of the candidate, with their estimated tails
-      val hcs = FourCliques.build(h)
-      val tails = (0 until hcs.nTriangles).map { t =>
-        val key = (h.labels(hcs.tris.u(t)), h.labels(hcs.tris.v(t)), h.labels(hcs.tris.w(t)))
-        score(key).toDouble / nSamples
-      }
+      val tails   = score.map(_.toDouble / nSamples)
       val qualify = tails.map(_ >= theta)
       // connected unions via shared 4-cliques of the candidate
-      val parent = Array.tabulate(hcs.nTriangles)(identity)
-      def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); r }
+      val uf = new UnionFind(hcs.nTriangles)
       var c = 0
       while (c < hcs.nCliques) {
-        val ms = hcs.members(c).filter(qualify)
+        val ms = hcs.members(c).filter(qualify(_))
         var i = 1
-        while (i < ms.length) { parent(find(ms(i))) = find(ms(0)); i += 1 }
+        while (i < ms.length) { uf.union(ms(i), ms(0)); i += 1 }
         c += 1
       }
-      val comps = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Int]]
-      (0 until hcs.nTriangles).foreach { t =>
-        if (qualify(t)) comps.getOrElseUpdate(find(t), mutable.ArrayBuffer.empty) += t
-      }
-      comps.values.toSeq.map { triIds =>
-        val es = mutable.LinkedHashSet.empty[(Long, Long, Double)]
-        val vs = mutable.SortedSet.empty[Long]
-        triIds.foreach { t =>
-          val (u, v, w) = (hcs.tris.u(t), hcs.tris.v(t), hcs.tris.w(t))
-          def lab(x: Int) = h.labels(x)
-          vs += lab(u); vs += lab(v); vs += lab(w)
-          es += ((lab(u), lab(v), h.prob(u, v)))
-          es += ((lab(u), lab(w), h.prob(u, w)))
-          es += ((lab(v), lab(w), h.prob(v, w)))
-        }
-        GlobalNucleus.ProbNucleus(k, vs.toArray, es.toArray, triIds.map(tails).min)
+      uf.components(qualify(_)).map { triIds =>
+        val (vs, es) = LocalNucleus.span(h, hcs, triIds)
+        GlobalNucleus.ProbNucleus(k, vs.map(h.labels), es.map { case (u, v, p) => (h.labels(u), h.labels(v), p) },
+                                  triIds.map(tails).min)
       }
     }
   }

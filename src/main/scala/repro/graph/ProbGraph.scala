@@ -31,17 +31,13 @@ final class ProbGraph private (
   def neighbors(v: Int): Array[Int] =
     java.util.Arrays.copyOfRange(adj, offsets(v), offsets(v + 1))
 
-  /** Probability of edge (u,v); NaN if absent. Binary search over the CSR row. */
+  /** CSR slot of neighbour v in row u; negative if (u,v) is absent. */
+  def slot(u: Int, v: Int): Int = java.util.Arrays.binarySearch(adj, offsets(u), offsets(u + 1), v)
+
+  /** Probability of edge (u,v); NaN if absent. */
   def prob(u: Int, v: Int): Double = {
-    var lo = offsets(u); var hi = offsets(u + 1) - 1
-    while (lo <= hi) {
-      val mid = (lo + hi) >>> 1
-      val w   = adj(mid)
-      if (w == v) return adjProb(mid)
-      else if (w < v) lo = mid + 1
-      else hi = mid - 1
-    }
-    Double.NaN
+    val i = slot(u, v)
+    if (i < 0) Double.NaN else adjProb(i)
   }
 
   def hasEdge(u: Int, v: Int): Boolean = !prob(u, v).isNaN
@@ -60,6 +56,18 @@ final class ProbGraph private (
       u += 1
     }
     out.result()
+  }
+
+  /** Index in [[edges]] of the edge at every CSR slot of row u with u < adj(slot). */
+  def edgeIds: Array[Int] = {
+    val ids = new Array[Int](adj.length)
+    var e = 0; var u = 0
+    while (u < n) {
+      var i = offsets(u)
+      while (i < offsets(u + 1)) { if (u < adj(i)) { ids(i) = e; e += 1 }; i += 1 }
+      u += 1
+    }
+    ids
   }
 
   /** Average edge probability (Table 1 column p_avg). */

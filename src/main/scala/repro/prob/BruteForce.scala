@@ -5,7 +5,8 @@ import repro.graph.ProbGraph
 
 /** Exact probabilities by full possible-world enumeration (2^m worlds) —
   * the ground-truth oracle for every probabilistic quantity in the paper on
-  * graphs small enough to enumerate (m ≤ ~20).
+  * graphs small enough to enumerate (m ≤ 24, enforced). Each world is
+  * rebuilt as a graph, independently of the mask path g and w use.
   */
 object BruteForce {
 
@@ -28,26 +29,22 @@ object BruteForce {
     }
   }
 
+  /** Dense ids in the world of labels a, b, c (negative where absent). */
+  private def ids(world: ProbGraph, a: Long, b: Long, c: Long): Array[Int] =
+    Array(a, b, c).map(java.util.Arrays.binarySearch(world.labels, _))
+
   /** Does the world (by original labels) contain triangle (a,b,c)? */
   private def hasTriangle(world: ProbGraph, a: Long, b: Long, c: Long): Boolean = {
-    def idx(l: Long): Int = java.util.Arrays.binarySearch(world.labels, l)
-    val (ia, ib, ic) = (idx(a), idx(b), idx(c))
+    val Array(ia, ib, ic) = ids(world, a, b, c)
     ia >= 0 && ib >= 0 && ic >= 0 &&
       world.hasEdge(ia, ib) && world.hasEdge(ia, ic) && world.hasEdge(ib, ic)
   }
 
-  /** 4-clique support of triangle (a,b,c) in the world (labels). */
+  /** 4-clique support of triangle (a,b,c), which is in the world (labels). */
   private def supportIn(world: ProbGraph, a: Long, b: Long, c: Long): Int = {
-    def idx(l: Long): Int = java.util.Arrays.binarySearch(world.labels, l)
-    val (ia, ib, ic) = (idx(a), idx(b), idx(c))
-    var cnt = 0
-    var x = 0
-    while (x < world.n) {
-      if (x != ia && x != ib && x != ic &&
-          world.hasEdge(x, ia) && world.hasEdge(x, ib) && world.hasEdge(x, ic)) cnt += 1
-      x += 1
-    }
-    cnt
+    val Array(ia, ib, ic) = ids(world, a, b, c)
+    (0 until world.n).count(x => x != ia && x != ib && x != ic &&
+      world.hasEdge(x, ia) && world.hasEdge(x, ib) && world.hasEdge(x, ic))
   }
 
   /** Exact Pr(X_{G,Δ,ℓ} ≥ k) for triangle Δ = (a,b,c) given by labels. */
@@ -78,16 +75,8 @@ object BruteForce {
 
   private def detNu(world: ProbGraph, a: Long, b: Long, c: Long): Int = {
     val (cs, nu) = DetNucleus.decompose(world)
-    def idx(l: Long): Int = java.util.Arrays.binarySearch(world.labels, l)
-    val (ia, ib, ic) = {
-      val s = Array(idx(a), idx(b), idx(c)).sorted
-      (s(0), s(1), s(2))
-    }
-    var t = 0
-    while (t < cs.nTriangles) {
-      if (cs.tris.u(t) == ia && cs.tris.v(t) == ib && cs.tris.w(t) == ic) return nu(t)
-      t += 1
-    }
-    -1
+    val Array(ia, ib, ic) = ids(world, a, b, c).sorted
+    (0 until cs.nTriangles).find(t => cs.tris.u(t) == ia && cs.tris.v(t) == ib && cs.tris.w(t) == ic)
+      .fold(-1)(nu(_))
   }
 }

@@ -6,15 +6,24 @@ import scala.util.Random
 /** Possible-world sampling (Section 6).
   *
   * A sampled world keeps each edge independently with its probability; per
-  * the paper's space note we materialise a world as a bit per edge over the
-  * canonical edge list, expanding to a deterministic [[ProbGraph]] (all
-  * probabilities 1) only when a decomposition needs adjacency.
+  * the paper's space note a world is a bit per edge over the canonical edge
+  * list. g and w evaluate these masks over their candidate's structure
+  * (`DetNucleus.WorldStructure`); [[worldGraph]] expands a mask to a
+  * deterministic [[ProbGraph]] (all probabilities 1) for the brute-force
+  * oracle and the reference checks.
   */
 object Sampler {
 
-  /** Hoeffding sample size n ≥ ⌈ln(2/δ) / (2ε²)⌉ (Lemma 4). */
-  def hoeffdingSamples(eps: Double, delta: Double): Int =
-    math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps)).toInt
+  /** Hoeffding sample size n ≥ ⌈ln(2/δ) / (2ε²)⌉ (Lemma 4), for ε > 0,
+    * δ ∈ (0,1) and a bound that fits in an `Int`.
+    */
+  def hoeffdingSamples(eps: Double, delta: Double): Int = {
+    require(eps > 0.0, s"Hoeffding ε must be positive, got $eps")
+    require(delta > 0.0 && delta < 1.0, s"Hoeffding δ must be in (0,1), got $delta")
+    val n = math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps))
+    require(n <= Int.MaxValue, s"Hoeffding bound $n for ε = $eps, δ = $delta does not fit in an Int")
+    n.toInt
+  }
 
   /** One world of `g` as a boolean mask over `g.edges` order. */
   def sampleMask(edges: Array[(Int, Int, Double)], rnd: Random): Array[Boolean] =

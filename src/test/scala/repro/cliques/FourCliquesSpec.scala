@@ -7,9 +7,9 @@ import repro.graph.{GraphGen, ProbGraph}
 
 /** 4-clique enumeration and the (triangle, Pr(E_i)) incidence structure:
   * known-count cases, internal identities, size limits, and DuckDB-oracle
-  * checks of the in-memory structure. In the test names, "dataframe" means
-  * the relational side of a check: row tables in DuckDB and the SQL over
-  * them.
+  * checks of the in-memory structure. In the test name "dataframe matches
+  * in-memory build", "dataframe" means the relational side of the check: the
+  * edge table in DuckDB and the SQL over it.
   */
 class FourCliquesSpec extends AnyFunSuite {
 
@@ -59,7 +59,7 @@ class FourCliquesSpec extends AnyFunSuite {
   private def cliqueCount(cs: FourCliques.CliqueStructure): Rows =
     Rows(Seq("cnt"), Seq(Seq(cs.nCliques.toLong)))
 
-  test("dataframe 4-clique count matches DuckDB oracle (krogan stand-in)") {
+  test("4-clique count matches the DuckDB oracle (krogan stand-in)") {
     val g = GraphGen.dataset("krogan", scale = 0.15)
     Oracle.assertEquivalent(cliqueCount(FourCliques.build(g)), GraphSql.cliqueCount,
       "e" -> GraphSql.edges(g))

@@ -6,9 +6,7 @@ import repro.Oracle.Rows
 import repro.graph.{GraphGen, ProbGraph}
 
 /** Triangle enumeration: known cases, and the in-memory enumeration checked
-  * against the DuckDB oracle (SQL over the canonical edge table). In the
-  * test names, "dataframe" means the relational side of a check: row tables
-  * in DuckDB and the SQL over them.
+  * against the DuckDB oracle (SQL over the canonical edge table).
   */
 class TrianglesSpec extends AnyFunSuite {
 
@@ -45,17 +43,17 @@ class TrianglesSpec extends AnyFunSuite {
     })
   }
 
-  test("dataframe enumeration matches DuckDB oracle on krogan stand-in") {
+  test("enumeration matches the DuckDB oracle on krogan stand-in") {
     val g = GraphGen.dataset("krogan", scale = 0.15)
     Oracle.assertEquivalent(triangleRows(g), GraphSql.triangles, "e" -> GraphSql.edges(g))
   }
 
-  test("dataframe enumeration matches DuckDB oracle on a dense random graph") {
+  test("enumeration matches the DuckDB oracle on a dense random graph") {
     val g = GraphGen.graph(GraphGen.Spec(40, 250, Seq(8, 6), GraphGen.UniformDist(), seed = 21))
     Oracle.assertEquivalent(triangleRows(g), GraphSql.triangles, "e" -> GraphSql.edges(g))
   }
 
-  test("dataframe count equals in-memory count across datasets") {
+  test("SQL triangle count equals in-memory count across datasets") {
     for (name <- Seq("krogan", "dblp", "flickr")) {
       val g = GraphGen.dataset(name, scale = 0.05)
       Oracle.assertEquivalent(Rows(Seq("cnt"), Seq(Seq(Triangles.count(g)))),
@@ -63,7 +61,7 @@ class TrianglesSpec extends AnyFunSuite {
     }
   }
 
-  test("dataframe probabilities are keyed to the right pair") {
+  test("SQL triangle probabilities are keyed to the right pair") {
     val g    = GraphGen.dataset("krogan", scale = 0.1)
     val tris = Triangles.enumerate(g)
     val prob = (0 until tris.size).map(t => GraphSql.triangleLabels(g, tris, t) -> tris.prob(t)).toMap

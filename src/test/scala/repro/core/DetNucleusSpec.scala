@@ -2,8 +2,12 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.ProbGraph
+import repro.prob.Sampler
+import scala.util.Random
 
-/** Deterministic (3,4)-nucleus decomposition and the k-nucleus predicate. */
+/** Deterministic (3,4)-nucleus decomposition, the k-nucleus predicate, and
+  * the per-world mask path checked against rebuilding each world.
+  */
 class DetNucleusSpec extends AnyFunSuite {
 
   private def complete(n: Int): ProbGraph =
@@ -94,5 +98,38 @@ class DetNucleusSpec extends AnyFunSuite {
       if (es.nonEmpty) assert(!DetNucleus.isKNucleus(ProbGraph(es), 2))
     }
     assert(DetNucleus.isKNucleus(complete(5), 2))
+  }
+
+  test("mask path agrees with rebuilding each world: g predicate and level-k survivors") {
+    val rnd = new Random(2022)
+    var nuclei = 0; var survivors = 0
+    for (_ <- 1 to 20) {
+      val nv = 6 + rnd.nextInt(3)
+      val es = for { a <- 0 until nv; b <- a + 1 until nv if rnd.nextDouble() < 0.85 }
+        yield (a.toLong, b.toLong, 0.5 + 0.5 * rnd.nextDouble())
+      val ws = new DetNucleus.WorldStructure(ProbGraph(es))
+      for (_ <- 1 to 10) {
+        val mask     = Sampler.sampleMask(ws.edges, rnd)
+        val world    = Sampler.worldGraph(ws.graph, ws.edges, mask)
+        val (cs, nu) = DetNucleus.decompose(world)
+        for (k <- 0 to 3) {
+          val isNucleus = DetNucleus.isKNucleus(ws, mask, k)
+          assert(isNucleus == DetNucleus.isKNucleus(world, k), s"k=$k world ${mask.mkString(",")}")
+          val level = DetNucleus.levelSet(ws, mask, k)
+          val byMask = (0 until ws.cs.nTriangles).filter(level).map { t =>
+            val l = ws.graph.labels
+            (l(ws.cs.tris.u(t)), l(ws.cs.tris.v(t)), l(ws.cs.tris.w(t)))
+          }.toSet
+          val byRebuild = (0 until cs.nTriangles).filter(nu(_) >= k).map { t =>
+            (world.labels(cs.tris.u(t)), world.labels(cs.tris.v(t)), world.labels(cs.tris.w(t)))
+          }.toSet
+          assert(byMask == byRebuild, s"k=$k world ${mask.mkString(",")}")
+          if (isNucleus) nuclei += 1
+          if (k > 0) survivors += byMask.size
+        }
+      }
+    }
+    // the 200 worlds exercise both outcomes of the predicate and the pruning
+    assert(nuclei > 0 && nuclei < 800 && survivors > 0, s"$nuclei nuclei, $survivors survivors")
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.cliques.Triangles
 import repro.graph.ProbGraph
 import repro.prob.{BruteForce, Sampler}
 import scala.util.Random
@@ -18,6 +19,34 @@ class GlobalWeaklySpec extends AnyFunSuite {
     val n = Sampler.hoeffdingSamples(0.1, 0.1)
     assert(n == 150) // ⌈ln(20)/0.02⌉ = ⌈149.8⌉
     assert(200 > n)
+  }
+
+  test("g and w reject a Monte-Carlo sample size below 1") {
+    val local = LocalNucleus.decompose(probK4(0.9), theta = 0.3, LocalNucleus.DP)
+    for (n <- Seq(0, -1)) {
+      intercept[IllegalArgumentException](GlobalNucleus.decompose(local, n, seed = 1))
+      intercept[IllegalArgumentException](GlobalNucleus.decomposeAt(local, 1, n, seed = 1))
+      intercept[IllegalArgumentException](WeaklyGlobalNucleus.decompose(local, n, seed = 1))
+      intercept[IllegalArgumentException](WeaklyGlobalNucleus.decomposeAt(local, 1, n, seed = 1))
+    }
+  }
+
+  test("Lemma 4 over 100 seeds: g and w tails are within ε of brute force on ≥ 90") {
+    val (eps, delta) = (0.1, 0.1)
+    val n     = Sampler.hoeffdingSamples(eps, delta)
+    val g     = probK4(0.9)
+    val local = LocalNucleus.decompose(g, theta = 0.1, LocalNucleus.DP)
+    // every triangle's exact g and w tail is 0.9^6: the world must be the whole K4
+    val exactG = BruteForce.globalTail(g, 0, 1, 2, 1)
+    val exactW = BruteForce.weaklyGlobalTail(g, 0, 1, 2, 1)
+    assert(math.abs(exactG - math.pow(0.9, 6)) < 1e-12 && math.abs(exactW - exactG) < 1e-12)
+    def within(nuclei: Seq[GlobalNucleus.ProbNucleus], exact: Double): Boolean =
+      nuclei.size == 1 && math.abs(nuclei.head.minTail - exact) <= eps
+    val gHits = (0 until 100).count(s => within(GlobalNucleus.decomposeAt(local, 1, n, seed = s), exactG))
+    val wHits = (0 until 100).count(s => within(WeaklyGlobalNucleus.decomposeAt(local, 1, n, seed = s), exactW))
+    // Hoeffding: a miss has probability at most δ per seed
+    assert(gHits >= 90, s"g within ε on $gHits of 100 seeds")
+    assert(wHits >= 90, s"w within ε on $wHits of 100 seeds")
   }
 
   test("sampled worlds follow edge probabilities (law of large numbers)") {
@@ -116,13 +145,9 @@ class GlobalWeaklySpec extends AnyFunSuite {
           ws.foreach { nucleus =>
             // the reported min tail must be within MC tolerance of the exact
             // min over the nucleus's triangles
-            val triples = for {
-              i <- nucleus.vertices.indices; j <- i + 1 until nucleus.vertices.length
-              l <- j + 1 until nucleus.vertices.length
-              a = nucleus.vertices(i); b = nucleus.vertices(j); c = nucleus.vertices(l)
-              if GlobalNucleus.containsTriangle(nucleus.toGraph,
-                a, b, c)
-            } yield (a, b, c)
+            val ng = nucleus.toGraph
+            val nt = Triangles.enumerate(ng)
+            val triples = (0 until nt.size).map(t => (ng.labels(nt.u(t)), ng.labels(nt.v(t)), ng.labels(nt.w(t))))
             // the nucleus's triangles are a subset of all triples formed by
             // its edges, so its MC min-tail must be ≥ the exact min over all
             // triples (up to MC tolerance), and ≤ the exact max likewise

@@ -8,7 +8,6 @@ import repro.graph.{GraphGen, ProbGraph}
 
 /** PD (Eq. 19) and PCC (Eq. 20): hand-computed cases, and the in-memory
   * metrics and their ingredients checked against SQL over the edge table.
-  * In the test names, "DataFrame" means that relational side.
   */
 class MetricsSpec extends AnyFunSuite {
 
@@ -51,7 +50,7 @@ class MetricsSpec extends AnyFunSuite {
        |       CASE WHEN den = 0 THEN 0.0 ELSE 3.0 * num / den END AS pcc
        |FROM nv, psum, tri, wedge""".stripMargin
 
-  test("in-memory and DataFrame metrics agree on dataset stand-ins") {
+  test("in-memory and SQL metrics agree on dataset stand-ins") {
     for (name <- Seq("krogan", "flickr")) {
       val g = GraphGen.dataset(name, scale = 0.1)
       val Seq(Seq(pd: Double, pcc: Double)) = Oracle.query(pdPccSql, "e" -> GraphSql.edges(g)).rows

@@ -9,8 +9,7 @@ import repro.graph.{GraphGen, ProbGraph}
   * oracle. κ(Δ) depends only on Pr(Δ) and Δ's Pr(E_i) multiset, so SQL over
   * the edge table (the triangles and the 6-edge-join 4-clique incidence)
   * fixes it; the tests score those SQL rows and compare them triangle by
-  * triangle with the kernel's initial κ, for both DP and AP scorers. In the
-  * test names, "distributed" means that relational side.
+  * triangle with the kernel's initial κ, for both DP and AP scorers.
   */
 class NucleusScoresSpec extends AnyFunSuite {
 
@@ -42,19 +41,19 @@ class NucleusScoresSpec extends AnyFunSuite {
     }
   }
 
-  test("distributed DP κ matches the kernel on krogan (θ = 0.2)") {
+  test("SQL-incidence DP κ matches the kernel on krogan (θ = 0.2)") {
     check("krogan", 0.2, 0.2, LocalNucleus.DP)
   }
 
-  test("distributed DP κ matches the kernel on flickr (θ = 0.1)") {
+  test("SQL-incidence DP κ matches the kernel on flickr (θ = 0.1)") {
     check("flickr", 0.05, 0.1, LocalNucleus.DP)
   }
 
-  test("distributed AP κ matches the kernel on krogan (θ = 0.3)") {
+  test("SQL-incidence AP κ matches the kernel on krogan (θ = 0.3)") {
     check("krogan", 0.2, 0.3, LocalNucleus.AP)
   }
 
-  test("distributed AP κ matches the kernel on dblp (θ = 0.2)") {
+  test("SQL-incidence AP κ matches the kernel on dblp (θ = 0.2)") {
     check("dblp", 0.05, 0.2, LocalNucleus.AP)
   }
 

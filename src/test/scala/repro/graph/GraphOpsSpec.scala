@@ -4,8 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.{GraphSql, Oracle}
 
 /** Table 1 statistics: known cases, and the in-memory statistics checked
-  * against SQL over the edge table. In the test names, "DataFrame" means
-  * that relational side.
+  * against SQL over the edge table.
   */
 class GraphOpsSpec extends AnyFunSuite {
 
@@ -27,7 +26,7 @@ class GraphOpsSpec extends AnyFunSuite {
        |       (SELECT AVG(CAST(p AS DOUBLE)) FROM e) AS pavg,
        |       (SELECT COUNT(*) FROM (${GraphSql.triangles})) AS ntri""".stripMargin
 
-  test("in-memory and DataFrame stats agree on stand-ins") {
+  test("in-memory and SQL stats agree on stand-ins") {
     for (name <- Seq("krogan", "dblp")) {
       val g   = GraphGen.dataset(name, scale = 0.08)
       val mem = GraphOps.stats(g)

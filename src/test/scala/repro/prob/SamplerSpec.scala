@@ -17,6 +17,16 @@ class SamplerSpec extends AnyFunSuite {
     assert(Sampler.hoeffdingSamples(0.03, 0.05) == 2050)
   }
 
+  test("Hoeffding bound rejects ε ≤ 0, δ outside (0,1) and bounds past Int.MaxValue") {
+    for (eps <- Seq(0.0, -0.1, Double.NaN))
+      intercept[IllegalArgumentException](Sampler.hoeffdingSamples(eps, 0.1))
+    for (delta <- Seq(0.0, 1.0, 1.5, -0.1, Double.NaN))
+      intercept[IllegalArgumentException](Sampler.hoeffdingSamples(0.1, delta))
+    // ln(20) / (2·10⁻¹²) ≈ 1.5·10¹² samples
+    intercept[IllegalArgumentException](Sampler.hoeffdingSamples(1e-6, 0.1))
+    assert(Sampler.hoeffdingSamples(1e-4, 0.1) == 149786614)
+  }
+
   test("sampling is deterministic in the seed") {
     val a = Sampler.sampleWorlds(g, 20, seed = 5).map(_.m)
     val b = Sampler.sampleWorlds(g, 20, seed = 5).map(_.m)
