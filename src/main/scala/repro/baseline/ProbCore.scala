@@ -25,24 +25,18 @@ object ProbCore {
   }
 
   def decompose(g: ProbGraph, eta: Double): Decomposition = {
-    val edges      = g.edges
-    val groupItems = new Array[Array[Int]](edges.length)
-    val groupPrE   = new Array[Array[Double]](edges.length)
-    val degCount   = new Array[Int](g.n)
-    edges.foreach { case (u, v, _) => degCount(u) += 1; degCount(v) += 1 }
-    val itemGroups = Array.tabulate(g.n)(v => new Array[Int](degCount(v)))
-    val cursor     = new Array[Int](g.n)
+    val edges = g.edges
+    val ends  = new Array[Int](2 * edges.length)
+    val prE   = new Array[Double](2 * edges.length)
     var i = 0
     while (i < edges.length) {
       val (u, v, p) = edges(i)
-      groupItems(i) = Array(u, v)
-      groupPrE(i)   = Array(p, p)
-      itemGroups(u)(cursor(u)) = i; cursor(u) += 1
-      itemGroups(v)(cursor(v)) = i; cursor(v) += 1
+      ends(2 * i) = u; ends(2 * i + 1) = v
+      prE(2 * i) = p; prE(2 * i + 1) = p
       i += 1
     }
-    val in  = ProbPeeling.Input(Array.fill(g.n)(1.0), groupItems, groupPrE, itemGroups)
-    val res = ProbPeeling.peel(in, eta, (p, probs, th) => PoissonBinomial.kappaFast(p, probs, th))
+    val in  = ProbPeeling.Input.ofGroups(Array.fill(g.n)(1.0), 2, ends, prE)
+    val res = ProbPeeling.peel(in, eta, PoissonBinomial.kappaFast)
     Decomposition(g, eta, res.nu)
   }
 

@@ -31,29 +31,18 @@ object ProbTruss {
   def decompose(g: ProbGraph, gamma: Double): Decomposition = {
     val edges    = g.edges
     val tris     = Triangles.enumerate(g)
-    val triEdges = Triangles.edgeIds(g, tris)
-
-    val groupItems = new Array[Array[Int]](tris.size)
-    val groupPrE   = new Array[Array[Double]](tris.size)
-    val degCount   = new Array[Int](edges.length)
-    var t = 0
-    while (t < tris.size) {
-      val (euv, euw, evw) = (triEdges(3 * t), triEdges(3 * t + 1), triEdges(3 * t + 2))
-      val (puv, puw, pvw) = (edges(euv)._3, edges(euw)._3, edges(evw)._3)
-      groupItems(t) = Array(euv, euw, evw)
-      groupPrE(t)   = Array(puw * pvw, puv * pvw, puv * puw) // the two wing edges
-      degCount(euv) += 1; degCount(euw) += 1; degCount(evw) += 1
-      t += 1
+    val triEdges = Triangles.edgeIds(g, tris) // (uv, uw, vw) per triangle
+    val wings    = new Array[Double](triEdges.length) // each member's two wing edges
+    var i = 0
+    while (i < triEdges.length) {
+      val puv = edges(triEdges(i))._3
+      val puw = edges(triEdges(i + 1))._3
+      val pvw = edges(triEdges(i + 2))._3
+      wings(i) = puw * pvw; wings(i + 1) = puv * pvw; wings(i + 2) = puv * puw
+      i += 3
     }
-    val itemGroups = Array.tabulate(edges.length)(e => new Array[Int](degCount(e)))
-    val cursor     = new Array[Int](edges.length)
-    t = 0
-    while (t < tris.size) {
-      groupItems(t).foreach { e => itemGroups(e)(cursor(e)) = t; cursor(e) += 1 }
-      t += 1
-    }
-    val in = ProbPeeling.Input(edges.map(_._3), groupItems, groupPrE, itemGroups)
-    val res = ProbPeeling.peel(in, gamma, (p, probs, th) => PoissonBinomial.kappaFast(p, probs, th))
+    val in  = ProbPeeling.Input.ofGroups(edges.map(_._3), 3, triEdges, wings)
+    val res = ProbPeeling.peel(in, gamma, PoissonBinomial.kappaFast)
     Decomposition(g, gamma, edges, res.nu)
   }
 }

@@ -55,26 +55,16 @@ object LocalNucleus {
   }
 
   def scorer(mode: Mode): ProbPeeling.Scorer = mode match {
-    case DP => (p, probs, theta) => PoissonBinomial.kappaFast(p, probs, theta)
-    case AP => (p, probs, theta) => Approximations.kappaAuto(p, probs, theta)
+    case DP => PoissonBinomial.kappaFast
+    case AP => Approximations.kappaAuto(_, _, _)
   }
 
   /** Build the peeling-kernel input from a clique structure: items are
     * triangles with itemProb = Pr(Δ); groups are 4-cliques with the
     * Pr(E_i) incidences of Section 5.1.
     */
-  def kernelInput(cs: CliqueStructure): ProbPeeling.Input = {
-    val nC = cs.nCliques
-    val groupItems = new Array[Array[Int]](nC)
-    val groupPrE   = new Array[Array[Double]](nC)
-    var c = 0
-    while (c < nC) {
-      groupItems(c) = java.util.Arrays.copyOfRange(cs.cliqueTris, 4 * c, 4 * c + 4)
-      groupPrE(c)   = java.util.Arrays.copyOfRange(cs.cliquePrE, 4 * c, 4 * c + 4)
-      c += 1
-    }
-    ProbPeeling.Input(cs.tris.prob, groupItems, groupPrE, cs.triCliques)
-  }
+  def kernelInput(cs: CliqueStructure): ProbPeeling.Input =
+    ProbPeeling.Input.ofGroups(cs.tris.prob, 4, cs.cliqueTris, cs.cliquePrE)
 
   /** Run the decomposition. */
   def decompose(g: ProbGraph, theta: Double, mode: Mode = DP): Decomposition = {

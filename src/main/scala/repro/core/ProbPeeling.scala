@@ -44,6 +44,42 @@ object ProbPeeling {
     def nGroups: Int = groupItems.length
   }
 
+  object Input {
+
+    /** The input of groups of a fixed `arity`: group g's members are
+      * `members(arity·g until arity·(g+1))` with the aligned Pr(E) values in
+      * `prE`. Each item's group list is in increasing group order, so a
+      * scorer sees an item's probabilities in group order.
+      */
+    def ofGroups(itemProb: Array[Double], arity: Int, members: Array[Int], prE: Array[Double]): Input = {
+      require(arity >= 1 && members.length % arity == 0 && prE.length == members.length,
+        s"${members.length} members and ${prE.length} Pr(E) values do not form groups of $arity")
+      val nG         = members.length / arity
+      val groupItems = new Array[Array[Int]](nG)
+      val groupPrE   = new Array[Array[Double]](nG)
+      var g = 0
+      while (g < nG) {
+        groupItems(g) = java.util.Arrays.copyOfRange(members, arity * g, arity * (g + 1))
+        groupPrE(g)   = java.util.Arrays.copyOfRange(prE, arity * g, arity * (g + 1))
+        g += 1
+      }
+      val deg = new Array[Int](itemProb.length) // group counts, then fill cursors
+      var i = 0
+      while (i < members.length) { deg(members(i)) += 1; i += 1 }
+      val itemGroups = new Array[Array[Int]](itemProb.length)
+      i = 0
+      while (i < itemProb.length) { itemGroups(i) = new Array[Int](deg(i)); deg(i) = 0; i += 1 }
+      i = 0
+      while (i < members.length) {
+        val item = members(i)
+        itemGroups(item)(deg(item)) = i / arity
+        deg(item) += 1
+        i += 1
+      }
+      Input(itemProb, groupItems, groupPrE, itemGroups)
+    }
+  }
+
   /** Result: final scores ν (−1 = item's own existence probability < θ),
     * items in processing order, and initial κ values.
     */
@@ -73,6 +109,7 @@ object ProbPeeling {
     * queue and lazy deletion, matching the paper's complexity analysis.
     */
   def peel(in: Input, theta: Double, scorer: Scorer): Result = {
+    require(theta >= 0 && theta <= 1, s"θ must be in [0, 1], got $theta")
     val n          = in.nItems
     val aliveGroup = Array.fill(in.nGroups)(true)
     val processed  = new Array[Boolean](n)
@@ -131,8 +168,8 @@ object ProbPeeling {
           val clamped = math.max(fresh, kappa(item)) // monotone-peeling clamp
           if (clamped < kappa(other)) {
             kappa(other) = clamped
+            // clamped ≥ κ(item), whose bucket is `level`: never below the level being drained
             buckets(bucketOf(clamped)).append(other)
-            if (bucketOf(clamped) < level) level = bucketOf(clamped)
           }
         }
       }

@@ -30,71 +30,6 @@ object Approximations {
   final case class Hyper(A: Int = 200, B: Int = 100, C: Double = 0.25, D: Double = 0.9)
   val defaultHyper: Hyper = Hyper()
 
-  /** κ via the Poisson approximation: Pr[ζ < k] accumulates with the
-    * recursion of Eq. 10, each step O(1).
-    */
-  def kappaPoisson(existProb: Double, probs: Array[Double], theta: Double): Int =
-    kappaShiftedPoisson(existProb, PoissonBinomial.mean(probs), 0, probs.length, theta)
-
-  /** κ via the Translated Poisson approximation (Eq. 12): shift ⌊λ₂⌋ with
-    * a Poisson(λ − ⌊λ₂⌋) remainder, λ₂ = λ − σ².
-    */
-  def kappaTranslatedPoisson(existProb: Double, probs: Array[Double], theta: Double): Int = {
-    val lambda  = PoissonBinomial.mean(probs)
-    val sigma2  = PoissonBinomial.variance(probs)
-    val shift   = math.floor(lambda - sigma2).toInt.max(0)
-    kappaShiftedPoisson(existProb, lambda - shift, shift, probs.length, theta)
-  }
-
-  /** Shared Poisson-tail walk: ζ ≈ shift + Π(λ); finds max k ≤ c with
-    * existProb·Pr[shift + Π ≥ k] ≥ θ.
-    */
-  private def kappaShiftedPoisson(existProb: Double, lambda: Double, shift: Int,
-                                  c: Int, theta: Double): Int = {
-    if (existProb < theta) return -1
-    // Pr[Π = j] iteratively; Pr[ζ ≥ k] = 1 − Pr[Π ≤ k − shift − 1].
-    var pmfJ = math.exp(-lambda) // Pr[Π = 0]
-    var cdf  = 0.0               // Pr[Π ≤ k − shift − 1], starts at Pr[Π ≤ -1] = 0
-    var best = math.min(shift, c) // tail probability is 1 up to the shift
-    var j = 0 // j = k − shift − 1 index being folded into cdf
-    var k = shift + 1
-    while (k <= c) {
-      cdf += pmfJ // fold Pr[Π = k − shift − 1]
-      val tailK = math.max(0.0, 1.0 - cdf)
-      if (existProb * tailK >= theta) best = k
-      else return best // tail is non-increasing: stop early
-      j += 1
-      pmfJ = pmfJ * lambda / j
-      k += 1
-    }
-    best
-  }
-
-  /** κ via the Binomial approximation with n = c, p = μ/n (Eq. 15). */
-  def kappaBinomial(existProb: Double, probs: Array[Double], theta: Double): Int = {
-    if (existProb < theta) return -1
-    val n = probs.length
-    if (n == 0) return 0
-    kappaBinomialStats(existProb, n, (PoissonBinomial.mean(probs) / n).min(1.0).max(0.0), theta)
-  }
-
-  private def kappaBinomialStats(existProb: Double, n: Int, p: Double, theta: Double): Int = {
-    if (p >= 1.0) return n // all mass at ζ = n
-    var pmfK = math.pow(1 - p, n) // Pr[ζ = 0]
-    var cdf  = 0.0                // Pr[ζ ≤ k − 1]
-    var best = 0
-    var k    = 1
-    while (k <= n) {
-      cdf += pmfK // fold Pr[ζ = k − 1]
-      val tailK = math.max(0.0, 1.0 - cdf)
-      if (existProb * tailK >= theta) best = k
-      else return best
-      pmfK = pmfK * (n - k + 1) * p / (k * (1 - p))
-      k += 1
-    }
-    best
-  }
-
   /** Standard normal CDF Φ via erf (Abramowitz–Stegun 7.1.26, |err| < 1.5e-7). */
   def phi(x: Double): Double = {
     val t  = 1.0 / (1.0 + 0.3275911 * math.abs(x) / math.sqrt(2.0))
@@ -103,88 +38,124 @@ object Approximations {
     if (x >= 0) 0.5 * (1.0 + y) else 0.5 * (1.0 - y)
   }
 
-  /** κ via the Lyapunov CLT (Eq. 13): Pr[ζ ≥ k] ≈ 1 − Φ((k − ½ − μ)/σ)
-    * (continuity-corrected — standard for integer-valued sums and needed to
-    * keep the large-c_Δ branch "practically indistinguishable" from DP).
+  /** The fused statistics of one Pr(E) list: c, μ = Σp, Σp² and max p,
+    * with σ² = Σp(1 − p) = μ − Σp².
     */
-  def kappaCLT(existProb: Double, probs: Array[Double], theta: Double): Int = {
-    if (existProb < theta) return -1
-    kappaCLTStats(existProb, probs.length,
-      PoissonBinomial.mean(probs), math.sqrt(PoissonBinomial.variance(probs)), theta)
+  private final class Stats(val c: Int, val mu: Double, val sumSq: Double, val maxP: Double) {
+    def sigma2: Double = mu - sumSq
   }
 
-  private def kappaCLTStats(existProb: Double, c: Int, mu: Double, sigma: Double,
-                            theta: Double): Int = {
-    if (sigma == 0.0) { // degenerate: all p_i ∈ {0,1}; ζ = μ exactly
-      return math.min(mu.round.toInt, c)
-    }
-    var best = 0
-    var k    = 1
-    while (k <= c) {
-      val tailK = 1.0 - phi((k - 0.5 - mu) / sigma)
-      if (existProb * tailK >= theta) best = k
-      else return best
-      k += 1
-    }
-    best
-  }
-
-  /** The hybrid AP selector (Section 5.3 "Summary"): picks a method from the
-    * condition list (1)-(5). Returns the chosen method — κ itself comes from
-    * [[kappaAuto]].
+  /** One pass over `probs` — the O(c_Δ) bound of Section 5.3 with a small
+    * constant, which is what makes AP pay off against the O(κ·c_Δ) DP
+    * during peeling.
     */
-  def select(probs: Array[Double], h: Hyper = defaultHyper): Method = {
-    val c = probs.length
-    if (c >= h.A) return CLT                                        // (1)
-    var maxP = 0.0; var sumSq = 0.0; var i = 0
-    while (i < c) { val p = probs(i); if (p > maxP) maxP = p; sumSq += p * p; i += 1 }
-    if (c < h.B && maxP < h.C) return Poisson                       // (2)
-    if (sumSq > 1.0) return TranslatedPoisson                       // (3)
-    val mu = PoissonBinomial.mean(probs)
-    if (c > 0) {
-      val p       = mu / c
-      val varBin  = c * p * (1 - p)
-      val varZeta = PoissonBinomial.variance(probs)
-      if (varBin > 0 && varZeta / varBin >= h.D) return Binomial    // (4)
-      if (varBin == 0.0 && varZeta == 0.0) return Binomial          // degenerate but exact
-    }
-    ExactDP                                                         // (5)
-  }
-
-  /** κ via the hybrid AP path: select a distribution per the paper's
-    * conditions, falling back to exact DP in case (5).
-    *
-    * All selector statistics (μ, σ², max p, Σp²) come from a single fused
-    * pass — the O(c_Δ) bound of Section 5.3 with a small constant, which is
-    * what makes AP pay off against the O(κ·c_Δ) DP during peeling.
-    */
-  def kappaAuto(existProb: Double, probs: Array[Double], theta: Double,
-                h: Hyper = defaultHyper): Int = {
-    if (existProb < theta) return -1
-    val c = probs.length
-    if (c == 0) return 0
+  private def stats(probs: Array[Double]): Stats = {
     var mu = 0.0; var sumSq = 0.0; var maxP = 0.0
     var i = 0
-    while (i < c) {
+    while (i < probs.length) {
       val p = probs(i)
       mu += p; sumSq += p * p; if (p > maxP) maxP = p
       i += 1
     }
-    val sigma2 = mu - sumSq
-    if (c >= h.A)                                       // (1) CLT
-      kappaCLTStats(existProb, c, mu, math.sqrt(sigma2), theta)
-    else if (c < h.B && maxP < h.C)                     // (2) Poisson
-      kappaShiftedPoisson(existProb, mu, 0, c, theta)
-    else if (sumSq > 1.0) {                             // (3) Translated Poisson
-      val shift = math.floor(mu - sigma2).toInt.max(0)
-      kappaShiftedPoisson(existProb, mu - shift, shift, c, theta)
-    } else {
-      val p      = mu / c
-      val varBin = c * p * (1 - p)
-      if ((varBin > 0 && sigma2 / varBin >= h.D) || (varBin == 0.0 && sigma2 == 0.0))
-        kappaBinomialStats(existProb, c, p, theta)      // (4) Binomial
-      else
-        PoissonBinomial.kappaFast(existProb, probs, theta) // (5) exact DP
-    }
+    new Stats(probs.length, mu, sumSq, maxP)
   }
+
+  /** The paper's condition list (1)-(5) (Section 5.3 "Summary"). */
+  private def condition(s: Stats, h: Hyper): Method =
+    if (s.c >= h.A) CLT                                             // (1)
+    else if (s.c < h.B && s.maxP < h.C) Poisson                     // (2)
+    else if (s.sumSq > 1.0) TranslatedPoisson                       // (3)
+    else {
+      val p      = s.mu / s.c
+      val varBin = s.c * p * (1 - p)
+      if (varBin > 0 && s.sigma2 / varBin >= h.D) Binomial          // (4)
+      else if (varBin == 0.0 && s.sigma2 == 0.0) Binomial           // degenerate but exact
+      else ExactDP                                                  // (5)
+    }
+
+  /** κ = max k ≤ c with existProb·Pr[ζ ≥ k] ≥ θ under method `m`'s
+    * distribution for ζ, from the statistics c, μ, σ² of `probs`. Every
+    * tail is non-increasing in k, so each walk stops at the first k that
+    * fails.
+    *
+    * The walks stay in this one method on purpose: it is past HotSpot's
+    * hot-method inlining size, so [[kappaAuto]] compiles small and inlines
+    * into the peeling kernel's scorer call, whose boxed arguments are then
+    * never allocated. With one small method per walk the whole chain
+    * inlined into the AP scorer, the kernel stopped inlining it, and an
+    * enwiki-stand-in pass allocated ~7% more.
+    */
+  private def walk(m: Method, existProb: Double, probs: Array[Double], c: Int, mu: Double,
+                   sigma2: Double, theta: Double): Int = m match {
+    case ExactDP => PoissonBinomial.kappaFast(existProb, probs, theta)
+    case Poisson | TranslatedPoisson =>
+      // ζ ≈ shift + Π(λ): Poisson has shift 0 and λ = μ (Eq. 10); Translated
+      // Poisson has shift ⌊λ₂⌋, λ₂ = μ − σ², and λ = μ − shift (Eq. 12)
+      val shift  = if (m == Poisson) 0 else math.floor(mu - sigma2).toInt.max(0)
+      val lambda = mu - shift
+      var pmfJ = math.exp(-lambda)  // Pr[Π = j], from j = 0
+      var cdf  = 0.0                // Pr[Π ≤ k − shift − 1]
+      var best = math.min(shift, c) // the tail is 1 up to the shift
+      var j = 0
+      var k = shift + 1
+      while (k <= c) {
+        cdf += pmfJ // fold Pr[Π = k − shift − 1]
+        if (existProb * math.max(0.0, 1.0 - cdf) >= theta) best = k
+        else return best
+        j += 1
+        pmfJ = pmfJ * lambda / j
+        k += 1
+      }
+      best
+    case Binomial => // n = c, p = μ/n (Eq. 15)
+      val p = mu / c
+      if (p >= 1.0) return c // all mass at ζ = c
+      var pmfK = math.pow(1 - p, c) // Pr[ζ = k − 1], from k = 1
+      var cdf  = 0.0                // Pr[ζ ≤ k − 1]
+      var best = 0
+      var k    = 1
+      while (k <= c) {
+        cdf += pmfK
+        if (existProb * math.max(0.0, 1.0 - cdf) >= theta) best = k
+        else return best
+        pmfK = pmfK * (c - k + 1) * p / (k * (1 - p))
+        k += 1
+      }
+      best
+    case CLT =>
+      // Pr[ζ ≥ k] ≈ 1 − Φ((k − ½ − μ)/σ) (Eq. 13), continuity-corrected:
+      // standard for integer-valued sums and needed to keep the large-c_Δ
+      // branch "practically indistinguishable" from DP
+      val sigma = math.sqrt(sigma2)
+      if (sigma == 0.0) return math.min(mu.round.toInt, c) // all p_i ∈ {0,1}: ζ = μ exactly
+      var best = 0
+      var k    = 1
+      while (k <= c) {
+        if (existProb * (1.0 - phi((k - 0.5 - mu) / sigma)) >= theta) best = k
+        else return best
+        k += 1
+      }
+      best
+  }
+
+  /** The method the hybrid selector picks for `probs`. */
+  def select(probs: Array[Double], h: Hyper = defaultHyper): Method = condition(stats(probs), h)
+
+  /** κ via one method, whatever the condition list would pick. */
+  def kappaWith(m: Method, existProb: Double, probs: Array[Double], theta: Double): Int =
+    if (existProb < theta) -1
+    else if (probs.isEmpty) 0
+    else { val s = stats(probs); walk(m, existProb, probs, s.c, s.mu, s.sigma2, theta) }
+
+  /** κ via the hybrid AP path: the method [[select]] picks, falling back to
+    * exact DP in case (5).
+    */
+  def kappaAuto(existProb: Double, probs: Array[Double], theta: Double,
+                h: Hyper = defaultHyper): Int =
+    if (existProb < theta) -1
+    else if (probs.isEmpty) 0
+    else {
+      val s = stats(probs)
+      walk(condition(s, h), existProb, probs, s.c, s.mu, s.sigma2, theta)
+    }
 }

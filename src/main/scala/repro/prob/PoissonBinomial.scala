@@ -94,18 +94,4 @@ object PoissonBinomial {
     }
     0 // unreachable
   }
-
-  /** Mean μ = Σ p_i of the Poisson-binomial. */
-  def mean(probs: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < probs.length) { s += probs(i); i += 1 }
-    s
-  }
-
-  /** Variance σ² = Σ p_i (1 − p_i). */
-  def variance(probs: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < probs.length) { val p = probs(i); s += p * (1 - p); i += 1 }
-    s
-  }
 }

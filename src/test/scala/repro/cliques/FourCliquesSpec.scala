@@ -7,9 +7,7 @@ import repro.graph.{GraphGen, ProbGraph}
 
 /** 4-clique enumeration and the (triangle, Pr(E_i)) incidence structure:
   * known-count cases, internal identities, size limits, and DuckDB-oracle
-  * checks of the in-memory structure. In the test name "dataframe matches
-  * in-memory build", "dataframe" means the relational side of the check: the
-  * edge table in DuckDB and the SQL over it.
+  * checks of the in-memory structure.
   */
 class FourCliquesSpec extends AnyFunSuite {
 
@@ -65,7 +63,7 @@ class FourCliquesSpec extends AnyFunSuite {
       "e" -> GraphSql.edges(g))
   }
 
-  test("dataframe matches in-memory build (counts and per-triangle support)") {
+  test("SQL incidence matches the in-memory counts and per-triangle support") {
     val g  = GraphGen.graph(GraphGen.Spec(40, 150, Seq(7, 6, 5), GraphGen.UniformDist(), seed = 55))
     val cs = FourCliques.build(g)
     val e  = GraphSql.edges(g)

@@ -1,6 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baseline.{ProbCore, ProbTruss}
+import repro.cliques.{FourCliques, Triangles}
+import repro.graph.{GraphGen, ProbGraph}
 import repro.prob.PoissonBinomial
 import scala.util.Random
 
@@ -11,13 +14,9 @@ import scala.util.Random
 class ProbPeelingSpec extends AnyFunSuite {
 
   /** Build the vertex/edge kernel input of a deterministic graph. */
-  private def coreInput(n: Int, edges: Seq[(Int, Int)]): ProbPeeling.Input = {
-    val groupItems = edges.map { case (u, v) => Array(u, v) }.toArray
-    val groupPrE   = edges.map(_ => Array(1.0, 1.0)).toArray
-    val itemGroups = Array.fill(n)(Array.newBuilder[Int])
-    edges.zipWithIndex.foreach { case ((u, v), i) => itemGroups(u) += i; itemGroups(v) += i }
-    ProbPeeling.Input(Array.fill(n)(1.0), groupItems, groupPrE, itemGroups.map(_.result()))
-  }
+  private def coreInput(n: Int, edges: Seq[(Int, Int)]): ProbPeeling.Input =
+    ProbPeeling.Input.ofGroups(Array.fill(n)(1.0), 2,
+      edges.flatMap { case (u, v) => Seq(u, v) }.toArray, Array.fill(2 * edges.size)(1.0))
 
   private val countScorer: ProbPeeling.Scorer = (p, probs, th) => probs.length
 
@@ -89,5 +88,61 @@ class ProbPeelingSpec extends AnyFunSuite {
     val edges = Seq((0, 1), (1, 2), (0, 2))
     val res = ProbPeeling.peel(coreInput(3, edges), 0.5, countScorer)
     assert(res.order.sorted.toSeq == Seq(0, 1, 2))
+  }
+
+  /** The nested input built by hand: group g's slice of the flat arrays,
+    * and each item's groups found by scanning every group in order.
+    */
+  private def handBuilt(itemProb: Array[Double], arity: Int, members: Array[Int],
+                        prE: Array[Double]): ProbPeeling.Input = {
+    val groups = members.grouped(arity).toArray
+    ProbPeeling.Input(itemProb, groups, prE.grouped(arity).toArray,
+      itemProb.indices.map(i => groups.indices.filter(g => groups(g).contains(i)).toArray).toArray)
+  }
+
+  test("ofGroups equals the hand-built nested input at arity 2, 3 and 4") {
+    val rnd = new Random(44)
+    for (trial <- 1 to 6) {
+      val g  = GraphGen.graph(GraphGen.Spec(30 + rnd.nextInt(20), 120, Seq(6, 5),
+        GraphGen.UniformDist(), seed = 100 + trial))
+      val es = g.edges
+      val tris = Triangles.enumerate(g)
+      val triEdges = Triangles.edgeIds(g, tris)
+      val cs = FourCliques.build(g)
+      val cases = Seq(
+        (Array.fill(g.n)(1.0), 2, es.flatMap(e => Array(e._1, e._2)), es.flatMap(e => Array(e._3, e._3))),
+        (es.map(_._3), 3, triEdges, Array.fill(triEdges.length)(rnd.nextDouble())),
+        (cs.tris.prob, 4, cs.cliqueTris, cs.cliquePrE))
+      for ((itemProb, arity, members, prE) <- cases) {
+        val got  = ProbPeeling.Input.ofGroups(itemProb, arity, members, prE)
+        val want = handBuilt(itemProb, arity, members, prE)
+        assert(got.nGroups > 0, s"trial $trial arity $arity")
+        assert(got.itemProb.toSeq == want.itemProb.toSeq)
+        assert(got.groupItems.map(_.toSeq).toSeq == want.groupItems.map(_.toSeq).toSeq, s"trial $trial arity $arity")
+        assert(got.groupPrE.map(_.toSeq).toSeq == want.groupPrE.map(_.toSeq).toSeq, s"trial $trial arity $arity")
+        assert(got.itemGroups.map(_.toSeq).toSeq == want.itemGroups.map(_.toSeq).toSeq, s"trial $trial arity $arity")
+      }
+      assert(LocalNucleus.kernelInput(cs).itemGroups.map(_.toSeq).toSeq == cs.triCliques.map(_.toSeq).toSeq)
+    }
+  }
+
+  test("ofGroups rejects members and Pr(E) arrays that do not form groups of the arity") {
+    val one = Array.fill(3)(1.0)
+    intercept[IllegalArgumentException](ProbPeeling.Input.ofGroups(one, 2, Array(0, 1, 2), Array(1.0, 1.0, 1.0)))
+    intercept[IllegalArgumentException](ProbPeeling.Input.ofGroups(one, 2, Array(0, 1), Array(1.0)))
+    intercept[IllegalArgumentException](ProbPeeling.Input.ofGroups(one, 2, Array(0, 1), Array(1.0, 1.0, 1.0)))
+    intercept[IllegalArgumentException](ProbPeeling.Input.ofGroups(one, 0, Array.empty, Array.empty))
+  }
+
+  test("peeling rejects θ that is NaN or outside [0, 1]: ℓ DP, ℓ AP, truss and core") {
+    val k4 = ProbGraph(for (u <- 0L until 4L; v <- u + 1 until 4L) yield (u, v, 0.9))
+    for (theta <- Seq(Double.NaN, -0.5, 1.5)) {
+      intercept[IllegalArgumentException](LocalNucleus.decompose(k4, theta, LocalNucleus.DP))
+      intercept[IllegalArgumentException](LocalNucleus.decompose(k4, theta, LocalNucleus.AP))
+      intercept[IllegalArgumentException](ProbTruss.decompose(k4, theta))
+      intercept[IllegalArgumentException](ProbCore.decompose(k4, theta))
+    }
+    assert(LocalNucleus.decompose(k4, 0.0, LocalNucleus.DP).nu.toSeq == Seq(1, 1, 1, 1))
+    assert(ProbCore.decompose(k4, 1.0).coreNumber.toSeq == Seq(0, 0, 0, 0))
   }
 }

@@ -34,7 +34,7 @@ class ApproximationsSpec extends AnyFunSuite {
       val ex    = 0.3 + rnd.nextDouble() * 0.7
       val th    = 0.05 + rnd.nextDouble() * 0.5
       val exact = PoissonBinomial.kappaFast(ex, probs, th)
-      val appr  = kappaPoisson(ex, probs, th)
+      val appr  = kappaWith(Poisson, ex, probs, th)
       maxDiff = math.max(maxDiff, math.abs(exact - appr))
     }
     assert(maxDiff <= 2, s"Poisson approximation drifted by $maxDiff")
@@ -49,7 +49,7 @@ class ApproximationsSpec extends AnyFunSuite {
       val ex    = 0.5 + rnd.nextDouble() * 0.5
       val th    = 0.05 + rnd.nextDouble() * 0.4
       val exact = PoissonBinomial.kappaFast(ex, probs, th)
-      tpErr += math.abs(exact - kappaTranslatedPoisson(ex, probs, th)); n += 1
+      tpErr += math.abs(exact - kappaWith(TranslatedPoisson, ex, probs, th)); n += 1
     }
     assert(tpErr / n <= 1.0, s"avg translated-Poisson error ${tpErr / n}")
   }
@@ -62,7 +62,7 @@ class ApproximationsSpec extends AnyFunSuite {
       val probs = Array.fill(c)(p)
       val ex    = 0.3 + rnd.nextDouble() * 0.7
       val th    = 0.05 + rnd.nextDouble() * 0.5
-      assert(kappaBinomial(ex, probs, th) == PoissonBinomial.kappaFast(ex, probs, th))
+      assert(kappaWith(Binomial, ex, probs, th) == PoissonBinomial.kappaFast(ex, probs, th))
     }
   }
 
@@ -75,7 +75,7 @@ class ApproximationsSpec extends AnyFunSuite {
       val ex    = 0.3 + rnd.nextDouble() * 0.7
       val th    = 0.05 + rnd.nextDouble() * 0.5
       val exact = PoissonBinomial.kappaFast(ex, probs, th)
-      maxDiff = math.max(maxDiff, math.abs(exact - kappaCLT(ex, probs, th)))
+      maxDiff = math.max(maxDiff, math.abs(exact - kappaWith(CLT, ex, probs, th)))
     }
     assert(maxDiff <= 2, s"CLT drifted by $maxDiff")
   }
@@ -83,17 +83,18 @@ class ApproximationsSpec extends AnyFunSuite {
   test("all approximations return -1 when existence probability below θ") {
     val probs = Array(0.5, 0.5)
     Seq[( Double, Array[Double], Double) => Int](
-      kappaPoisson, kappaTranslatedPoisson, kappaBinomial, kappaCLT,
+      kappaWith(Poisson, _, _, _), kappaWith(TranslatedPoisson, _, _, _),
+      kappaWith(Binomial, _, _, _), kappaWith(CLT, _, _, _),
       (a, b, c) => kappaAuto(a, b, c)
     ).foreach(f => assert(f(0.05, probs, 0.1) == -1))
   }
 
   test("all approximations return 0 for an empty support list") {
     val empty = Array.empty[Double]
-    assert(kappaPoisson(1.0, empty, 0.5) == 0)
-    assert(kappaTranslatedPoisson(1.0, empty, 0.5) == 0)
-    assert(kappaBinomial(1.0, empty, 0.5) == 0)
-    assert(kappaCLT(1.0, empty, 0.5) == 0)
+    assert(kappaWith(Poisson, 1.0, empty, 0.5) == 0)
+    assert(kappaWith(TranslatedPoisson, 1.0, empty, 0.5) == 0)
+    assert(kappaWith(Binomial, 1.0, empty, 0.5) == 0)
+    assert(kappaWith(CLT, 1.0, empty, 0.5) == 0)
     assert(kappaAuto(1.0, empty, 0.5) == 0)
   }
 
@@ -140,5 +141,24 @@ class ApproximationsSpec extends AnyFunSuite {
       err += math.abs(kappaAuto(ex, probs, th) - PoissonBinomial.kappaFast(ex, probs, th))
     }
     assert(err / n <= 0.2, s"avg |AP−DP| = ${err / n}")
+  }
+
+  test("kappaAuto is kappaWith the selected method, and every method is selected") {
+    val rnd  = new Random(15)
+    val hits = scala.collection.mutable.Map.empty[Method, Int].withDefaultValue(0)
+    for (i <- 1 to 1000) {
+      val probs = i % 4 match {
+        case 0 => Array.fill(1 + rnd.nextInt(300))(math.max(1e-3, rnd.nextDouble()))
+        case 1 => Array.fill(1 + rnd.nextInt(99))(0.001 + rnd.nextDouble() * 0.2)
+        case 2 => Array.fill(1 + rnd.nextInt(4))(0.25 + rnd.nextDouble() * 0.25)
+        case _ => Array(0.5 + rnd.nextDouble() * 0.45) ++ Array.fill(1 + rnd.nextInt(4))(0.01 + rnd.nextDouble() * 0.09)
+      }
+      val ex = 0.3 + rnd.nextDouble() * 0.7
+      val th = 0.05 + rnd.nextDouble() * 0.5
+      val m  = select(probs)
+      hits(m) += 1
+      assert(kappaAuto(ex, probs, th) == kappaWith(m, ex, probs, th), s"case $i ($m)")
+    }
+    assert(Seq(CLT, Poisson, TranslatedPoisson, Binomial, ExactDP).forall(hits(_) > 0), hits.toString)
   }
 }

@@ -60,18 +60,6 @@ class PoissonBinomialSpec extends AnyFunSuite {
     }
   }
 
-  test("mean and variance match pmf moments") {
-    val rnd = new Random(3)
-    for (_ <- 1 to 100) {
-      val probs = randProbs(rnd, 25)
-      val m     = PoissonBinomial.pmf(probs)
-      val mu    = m.zipWithIndex.map { case (p, k) => p * k }.sum
-      val v     = m.zipWithIndex.map { case (p, k) => p * k * k }.sum - mu * mu
-      assert(math.abs(mu - PoissonBinomial.mean(probs)) < 1e-9)
-      assert(math.abs(v - PoissonBinomial.variance(probs)) < 1e-9)
-    }
-  }
-
   test("kappa is the argmax over the exact tail") {
     val rnd = new Random(4)
     for (_ <- 1 to 300) {
