@@ -1,7 +1,6 @@
 package repro.cliques
 
 import repro.graph.ProbGraph
-import scala.collection.mutable
 
 /** 4-clique enumeration and the triangle↔4-clique incidence structure.
   *
@@ -55,32 +54,23 @@ object FourCliques {
     def support(tid: Int): Int = triCliques(tid).length
   }
 
-  /** Largest vertex count [[key]] encodes without wrapping: n³ < 2^63. */
-  val MaxVertices: Int = 1 << 21
-
   /** Largest clique count the flat 4-per-clique `Int` index can hold. */
   val MaxCliques: Int = Int.MaxValue / 4
 
-  /** Encode a sorted vertex triple as a long key; unique while n < [[MaxVertices]]. */
-  private def key(n: Long, u: Int, v: Int, w: Int): Long = (u * n + v) * n + w
-
   /** Build the incidence structure for g. */
   def build(g: ProbGraph): CliqueStructure = {
-    require(g.n < MaxVertices,
-      s"4-clique triangle keys support fewer than $MaxVertices (2^21) vertices, got ${g.n}")
-    val tris = Triangles.enumerate(g)
-    val n    = g.n.toLong
-    val id   = new mutable.LongMap[Int](tris.size * 2)
-    var t = 0
-    while (t < tris.size) { id(key(n, tris.u(t), tris.v(t), tris.w(t))) = t; t += 1 }
-
+    val tris  = Triangles.enumerate(g)
+    val index = new Triangles.Index(g, tris)
     val ct = Array.newBuilder[Int]
     val ce = Array.newBuilder[Double]
     val triDeg = new Array[Int](tris.size)
     var nCliques = 0
-    t = 0
+    var t = 0
     while (t < tris.size) {
       val (u, v, w) = (tris.u(t), tris.v(t), tris.w(t))
+      // the base edges' slots find the clique's other triangles and give their probabilities
+      val uv = g.slot(u, v); val uw = g.slot(u, w); val vw = g.slot(v, w)
+      val puv = g.adjProb(uv); val puw = g.adjProb(uw); val pvw = g.adjProb(vw)
       // 3-way sorted intersection of adj(u), adj(v), adj(w) for x > w:
       // each 4-clique {u,v,w,x} with u<v<w<x is found exactly once, from
       // its lexicographically-least triangle.
@@ -93,11 +83,10 @@ object FourCliques {
             require(nCliques < MaxCliques,
               s"more than $MaxCliques 4-cliques overflow the flat clique index")
             val pux = g.adjProb(a); val pvx = g.adjProb(b); val pwx = g.adjProb(c)
-            val puv = g.prob(u, v); val puw = g.prob(u, w); val pvw = g.prob(v, w)
             val t_uvw = t
-            val t_uvx = id(key(n, u, v, x))
-            val t_uwx = id(key(n, u, w, x))
-            val t_vwx = id(key(n, v, w, x))
+            val t_uvx = index.at(uv, x)
+            val t_uwx = index.at(uw, x)
+            val t_vwx = index.at(vw, x)
             // Pr(E_i) of each member = product of the 3 edges to its apex
             ct += t_uvw; ce += pux * pvx * pwx // apex x
             ct += t_uvx; ce += puw * pvw * pwx // apex w

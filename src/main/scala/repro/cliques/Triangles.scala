@@ -51,8 +51,27 @@ object Triangles {
   /** Flat, 3 per triangle: the indices in `g.edges` of its edges (u,v), (u,w), (v,w). */
   def edgeIds(g: ProbGraph, tris: TriangleList): Array[Int] = {
     val ids = g.edgeIds
-    def id(a: Int, b: Int): Int = ids(g.slot(a, b))
-    (0 until tris.size).flatMap(t => Array(id(tris.u(t), tris.v(t)), id(tris.u(t), tris.w(t)), id(tris.v(t), tris.w(t)))).toArray
+    val out = new Array[Int](3 * tris.size)
+    for (t <- 0 until tris.size) {
+      out(3 * t)     = ids(g.slot(tris.u(t), tris.v(t)))
+      out(3 * t + 1) = ids(g.slot(tris.u(t), tris.w(t)))
+      out(3 * t + 2) = ids(g.slot(tris.v(t), tris.w(t)))
+    }
+    out
+  }
+
+  /** Triangle ids through their lowest edge: [[enumerate]] lists triangles in
+    * lexicographic order, so the triangles (u, v, ·) are one block per CSR
+    * slot of (u, v), sorted by w. Build it where the lookups happen and drop
+    * it after; it holds an `Int` per CSR slot.
+    */
+  final class Index(g: ProbGraph, tris: TriangleList) {
+    private val start = new Array[Int](g.adj.length + 1) // slot s: positions start(s) until start(s + 1)
+    for (t <- 0 until tris.size) start(g.slot(tris.u(t), tris.v(t)) + 1) += 1
+    for (s <- 0 until g.adj.length) start(s + 1) += start(s)
+
+    /** Id of triangle (u, v, w) with u < v < w, where `slot` = `g.slot(u, v)`; negative if absent. */
+    def at(slot: Int, w: Int): Int = java.util.Arrays.binarySearch(tris.w, start(slot), start(slot + 1), w)
   }
 
   def count(g: ProbGraph): Long = enumerate(g).size.toLong

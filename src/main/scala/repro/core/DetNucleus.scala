@@ -21,11 +21,6 @@ object DetNucleus {
     /** Flat, 3 edge ids per triangle. */
     val triEdges: Array[Int] = Triangles.edgeIds(graph, cs.tris)
 
-    /** Id of triangle u < v < w, negative if absent (triangles are listed in lexicographic order). */
-    def triangleId(u: Int, v: Int, w: Int): Int = java.util.Arrays.binarySearch(keys, key(u, v, w))
-    private def key(u: Int, v: Int, w: Int): Long = (u.toLong * graph.n + v) * graph.n + w
-    private lazy val keys = Array.tabulate(cs.nTriangles)(t => key(cs.tris.u(t), cs.tris.v(t), cs.tris.w(t)))
-
     /** The triangles of the world `mask`. */
     def aliveTriangles(mask: Array[Boolean]): Array[Boolean] = {
       val out = new Array[Boolean](cs.nTriangles)

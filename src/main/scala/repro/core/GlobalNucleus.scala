@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.cliques.Triangles
 import repro.graph.ProbGraph
 import repro.prob.Sampler
 import scala.collection.mutable
@@ -90,7 +91,8 @@ object GlobalNucleus {
     val ws = new DetNucleus.WorldStructure(h)
     // the candidate's triangles in h: both graphs number vertices in label order
     def hId(x: Int): Int = java.util.Arrays.binarySearch(h.labels, g.labels(x))
-    val hTris = candTris.map(t => ws.triangleId(hId(cs.tris.u(t)), hId(cs.tris.v(t)), hId(cs.tris.w(t))))
+    val index = new Triangles.Index(h, ws.cs.tris)
+    val hTris = candTris.map(t => index.at(h.slot(hId(cs.tris.u(t)), hId(cs.tris.v(t))), hId(cs.tris.w(t))))
     val counts = new Array[Int](hTris.length)
     val rnd    = new Random(seed)
     var s = 0

@@ -67,11 +67,8 @@ object LocalNucleus {
     ProbPeeling.Input.ofGroups(cs.tris.prob, 4, cs.cliqueTris, cs.cliquePrE)
 
   /** Run the decomposition. */
-  def decompose(g: ProbGraph, theta: Double, mode: Mode = DP): Decomposition = {
-    val cs  = FourCliques.build(g)
-    val res = ProbPeeling.peel(kernelInput(cs), theta, scorer(mode))
-    Decomposition(g, cs, theta, res.nu, res.initialKappa)
-  }
+  def decompose(g: ProbGraph, theta: Double, mode: Mode = DP): Decomposition =
+    decompose(g, FourCliques.build(g), theta, mode)
 
   /** Same, reusing a prebuilt structure (lets DP and AP share enumeration). */
   def decompose(g: ProbGraph, cs: CliqueStructure, theta: Double, mode: Mode): Decomposition = {

@@ -11,8 +11,7 @@ package repro.prob
   *  - Normal via Lyapunov CLT (Eq. 13).
   *
   * The hybrid selector [[Approximations.select]] implements the paper's
-  * condition list (1)-(5) with hyperparameters A=200, B=100, C=0.25, D=0.9;
-  * condition (5) falls back to the exact DP.
+  * condition list (1)-(5); condition (5) falls back to the exact DP.
   */
 object Approximations {
 
@@ -25,10 +24,6 @@ object Approximations {
   case object TranslatedPoisson extends Method
   case object Binomial         extends Method
   case object ExactDP          extends Method
-
-  /** Paper hyperparameters (Section 5.3, "Summary"). */
-  final case class Hyper(A: Int = 200, B: Int = 100, C: Double = 0.25, D: Double = 0.9)
-  val defaultHyper: Hyper = Hyper()
 
   /** Standard normal CDF Φ via erf (Abramowitz–Stegun 7.1.26, |err| < 1.5e-7). */
   def phi(x: Double): Double = {
@@ -60,15 +55,17 @@ object Approximations {
     new Stats(probs.length, mu, sumSq, maxP)
   }
 
-  /** The paper's condition list (1)-(5) (Section 5.3 "Summary"). */
-  private def condition(s: Stats, h: Hyper): Method =
-    if (s.c >= h.A) CLT                                             // (1)
-    else if (s.c < h.B && s.maxP < h.C) Poisson                     // (2)
+  /** The paper's condition list (1)-(5) with its hyperparameters A = 200,
+    * B = 100, C = 0.25 and D = 0.9 (Section 5.3, "Summary").
+    */
+  private def condition(s: Stats): Method =
+    if (s.c >= 200) CLT                                             // (1) c ≥ A
+    else if (s.c < 100 && s.maxP < 0.25) Poisson                    // (2) c < B, max p < C
     else if (s.sumSq > 1.0) TranslatedPoisson                       // (3)
     else {
       val p      = s.mu / s.c
       val varBin = s.c * p * (1 - p)
-      if (varBin > 0 && s.sigma2 / varBin >= h.D) Binomial          // (4)
+      if (varBin > 0 && s.sigma2 / varBin >= 0.9) Binomial          // (4) σ²/σ²_bin ≥ D
       else if (varBin == 0.0 && s.sigma2 == 0.0) Binomial           // degenerate but exact
       else ExactDP                                                  // (5)
     }
@@ -139,7 +136,7 @@ object Approximations {
   }
 
   /** The method the hybrid selector picks for `probs`. */
-  def select(probs: Array[Double], h: Hyper = defaultHyper): Method = condition(stats(probs), h)
+  def select(probs: Array[Double]): Method = condition(stats(probs))
 
   /** κ via one method, whatever the condition list would pick. */
   def kappaWith(m: Method, existProb: Double, probs: Array[Double], theta: Double): Int =
@@ -150,12 +147,11 @@ object Approximations {
   /** κ via the hybrid AP path: the method [[select]] picks, falling back to
     * exact DP in case (5).
     */
-  def kappaAuto(existProb: Double, probs: Array[Double], theta: Double,
-                h: Hyper = defaultHyper): Int =
+  def kappaAuto(existProb: Double, probs: Array[Double], theta: Double): Int =
     if (existProb < theta) -1
     else if (probs.isEmpty) 0
     else {
       val s = stats(probs)
-      walk(condition(s, h), existProb, probs, s.c, s.mu, s.sigma2, theta)
+      walk(condition(s), existProb, probs, s.c, s.mu, s.sigma2, theta)
     }
 }

@@ -6,7 +6,7 @@ import repro.Oracle.Rows
 import repro.graph.{GraphGen, ProbGraph}
 
 /** 4-clique enumeration and the (triangle, Pr(E_i)) incidence structure:
-  * known-count cases, internal identities, size limits, and DuckDB-oracle
+  * known-count cases, internal identities, dense ids past 2^21, and DuckDB-oracle
   * checks of the in-memory structure.
   */
 class FourCliquesSpec extends AnyFunSuite {
@@ -93,12 +93,23 @@ class FourCliquesSpec extends AnyFunSuite {
     }
   }
 
-  test("build rejects graphs past the 2^21-vertex triangle-key limit") {
-    // a perfect matching: 2^21 vertices, no triangles
-    val matching = ProbGraph((0L until (1L << 20)).map(i => (2 * i, 2 * i + 1, 0.5)))
-    assert(matching.n == FourCliques.MaxVertices)
-    val e = intercept[IllegalArgumentException](FourCliques.build(matching))
-    assert(e.getMessage.contains("2^21"))
+  test("build finds a K5 whose dense vertex ids are at least 2^21") {
+    // a perfect matching on 2^21 vertices (no triangles), then a K5 on
+    // labels that sort last, so its vertices get dense ids 2^21 .. 2^21 + 4
+    val base     = 1L << 21
+    val matching = (0L until base / 2).map(i => (2 * i, 2 * i + 1, 0.5))
+    val k5       = for { a <- 0 until 5; b <- a + 1 until 5 } yield (base + a, base + b, 0.5 + 0.04 * (a + 2 * b))
+    val g  = ProbGraph(matching ++ k5)
+    assert(g.n == base + 5)
+    val cs = FourCliques.build(g)
+    assert(cs.nCliques == 5 && cs.nTriangles == 10)
+    (0 until cs.nTriangles).foreach(t => assert(cs.support(t) == 2))
+    for (c <- 0 until cs.nCliques) {
+      val vs = cs.members(c).flatMap(m => Seq(cs.tris.u(m), cs.tris.v(m), cs.tris.w(m))).distinct.sorted
+      assert(vs.length == 4 && vs.forall(_ >= base))
+      val clique = (for { i <- 0 until 4; j <- i + 1 until 4 } yield g.prob(vs(i), vs(j))).product
+      cs.members(c).foreach(m => assert(math.abs(cs.prE(c, m) * cs.tris.prob(m) - clique) < 1e-12))
+    }
   }
 
   test("planted 6-clique yields expected counts in sparse background") {

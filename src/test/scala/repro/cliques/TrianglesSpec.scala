@@ -34,6 +34,20 @@ class TrianglesSpec extends AnyFunSuite {
     assert(Triangles.count(chord) == 1)
   }
 
+  test("Index.at finds each triangle by its lowest edge, nothing else") {
+    for (seed <- 1 to 10) {
+      val g     = GraphGen.graph(GraphGen.Spec(30, 90, Seq(6, 5), GraphGen.UniformDist(), seed = seed))
+      val tris  = Triangles.enumerate(g)
+      val index = new Triangles.Index(g, tris)
+      val id    = (0 until tris.size).map(t => (tris.u(t), tris.v(t), tris.w(t)) -> t).toMap
+      for { u <- 0 until g.n; v <- g.neighbors(u) if u < v; x <- v + 1 until g.n } {
+        val got = index.at(g.slot(u, v), x)
+        if (g.hasEdge(u, x) && g.hasEdge(v, x)) assert(got == id((u, v, x)), s"seed $seed ($u,$v,$x)")
+        else assert(got < 0, s"seed $seed ($u,$v,$x) is no triangle")
+      }
+    }
+  }
+
   /** The enumerated triangles by label, with their edge probabilities. */
   private def triangleRows(g: ProbGraph): Rows = {
     val t = Triangles.enumerate(g)
