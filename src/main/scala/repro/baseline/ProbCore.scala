@@ -24,7 +24,13 @@ object ProbCore {
       components(graph, graph.edges.filter { case (u, v, _) => coreNumber(u) >= k && coreNumber(v) >= k })
   }
 
-  def decompose(g: ProbGraph, eta: Double): Decomposition = {
+  def decompose(g: ProbGraph, eta: Double): Decomposition =
+    Decomposition(g, eta, ProbPeeling.peel(kernelInput(g), eta, PoissonBinomial.kappaFast).nu)
+
+  /** The peeling-kernel input: items are vertices (itemProb 1), groups are
+    * the edges at arity 2 with Pr(E) = (p, p).
+    */
+  def kernelInput(g: ProbGraph): ProbPeeling.Input = {
     val edges = g.edges
     val ends  = new Array[Int](2 * edges.length)
     val prE   = new Array[Double](2 * edges.length)
@@ -35,9 +41,7 @@ object ProbCore {
       prE(2 * i) = p; prE(2 * i + 1) = p
       i += 1
     }
-    val in  = ProbPeeling.Input.ofGroups(Array.fill(g.n)(1.0), 2, ends, prE)
-    val res = ProbPeeling.peel(in, eta, PoissonBinomial.kappaFast)
-    Decomposition(g, eta, res.nu)
+    ProbPeeling.Input.ofGroups(Array.fill(g.n)(1.0), 2, ends, prE)
   }
 
   /** Connected components (via shared vertices) of a kept edge list, as

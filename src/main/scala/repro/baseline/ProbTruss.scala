@@ -29,7 +29,14 @@ object ProbTruss {
   }
 
   def decompose(g: ProbGraph, gamma: Double): Decomposition = {
-    val edges    = g.edges
+    val edges = g.edges
+    Decomposition(g, gamma, edges, ProbPeeling.peel(kernelInput(g, edges), gamma, PoissonBinomial.kappaFast).nu)
+  }
+
+  /** The peeling-kernel input: items are `edges` (= `g.edges`), groups are
+    * triangles at arity 3, each member's Pr(E) the product of its two wings.
+    */
+  def kernelInput(g: ProbGraph, edges: Array[(Int, Int, Double)]): ProbPeeling.Input = {
     val tris     = Triangles.enumerate(g)
     val triEdges = Triangles.edgeIds(g, tris) // (uv, uw, vw) per triangle
     val wings    = new Array[Double](triEdges.length) // each member's two wing edges
@@ -41,8 +48,6 @@ object ProbTruss {
       wings(i) = puw * pvw; wings(i + 1) = puv * pvw; wings(i + 2) = puv * puw
       i += 3
     }
-    val in  = ProbPeeling.Input.ofGroups(edges.map(_._3), 3, triEdges, wings)
-    val res = ProbPeeling.peel(in, gamma, PoissonBinomial.kappaFast)
-    Decomposition(g, gamma, edges, res.nu)
+    ProbPeeling.Input.ofGroups(edges.map(_._3), 3, triEdges, wings)
   }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Generic probabilistic peeling kernel.
   *
   * All four decompositions in this repo are instances of one abstract
@@ -32,7 +30,8 @@ object ProbPeeling {
 
   /** The item/group hypergraph. Arrays `groupItems(g)` and `groupPrE(g)`
     * are aligned: groupPrE(g)(i) is Pr(E) contributed by group g to item
-    * groupItems(g)(i).
+    * groupItems(g)(i). `itemGroups` is the inverse, each list in increasing
+    * group order; `peel` derives its own item→group rows from `groupItems`.
     */
   final case class Input(
       itemProb: Array[Double],
@@ -81,99 +80,176 @@ object ProbPeeling {
   }
 
   /** Result: final scores ν (−1 = item's own existence probability < θ),
-    * items in processing order, and initial κ values.
+    * items in processing order, initial κ values, the number of rescoring
+    * scorer calls (every call after the initial one per item) and the
+    * number of stale bucket entries popped (an item already processed, or
+    * queued under a κ it has since left).
     */
-  final case class Result(nu: Array[Int], order: Array[Int], initialKappa: Array[Int])
-
-  /** Current Pr(E) multiset of an item over alive groups. */
-  private def aliveProbs(in: Input, aliveGroup: Array[Boolean], item: Int): Array[Double] = {
-    val gs  = in.itemGroups(item)
-    val buf = Array.newBuilder[Double]
-    var i = 0
-    while (i < gs.length) {
-      val g = gs(i)
-      if (aliveGroup(g)) {
-        val members = in.groupItems(g)
-        var j = 0
-        while (j < members.length) {
-          if (members(j) == item) buf += in.groupPrE(g)(j)
-          j += 1
-        }
-      }
-      i += 1
-    }
-    buf.result()
-  }
+  final case class Result(nu: Array[Int], order: Array[Int], initialKappa: Array[Int],
+                          rescorings: Long, stalePops: Long)
 
   /** Run the peeling to completion. O(Σ κ·c) rescoring cost with a bucket
-    * queue and lazy deletion, matching the paper's complexity analysis.
+    * queue and lazy deletion, matching the paper's complexity analysis; the
+    * bookkeeping around each scorer call is O(1) per (group, member)
+    * incidence and per queue entry (Batagelj–Zaveršnik bucket peeling).
+    *
+    * The item→(group, Pr(E)) incidences are derived from `groupItems` as a
+    * CSR (`off`, `eGroup`, `ePrE`) with each item's row in increasing group
+    * order, the order `Input.ofGroups` gives `itemGroups`. `peel` rejects
+    * more than `Int.MaxValue` incidences and a group that lists an item twice.
     */
   def peel(in: Input, theta: Double, scorer: Scorer): Result = {
     require(theta >= 0 && theta <= 1, s"θ must be in [0, 1], got $theta")
-    val n          = in.nItems
-    val aliveGroup = Array.fill(in.nGroups)(true)
-    val processed  = new Array[Boolean](n)
-    val kappa      = new Array[Int](n)
-    val nu         = new Array[Int](n)
-    val order      = new Array[Int](n)
+    val n  = in.nItems
+    val nG = in.nGroups
+    var total = 0L
+    var g = 0
+    while (g < nG) { total += in.groupItems(g).length; g += 1 }
+    if (total > Int.MaxValue)
+      throw new IllegalArgumentException(s"$total (group, item) incidences exceed ${Int.MaxValue}")
+
+    // counting pass: row lengths, and stamp(item) = last group seen listing it
+    val stamp = new Array[Int](n)
+    val off   = new Array[Int](n + 1)
+    java.util.Arrays.fill(stamp, -1)
+    g = 0
+    while (g < nG) {
+      val members = in.groupItems(g)
+      var j = 0
+      while (j < members.length) {
+        val item = members(j)
+        if (stamp(item) == g) throw new IllegalArgumentException(s"group $g lists item $item twice")
+        stamp(item) = g
+        off(item + 1) += 1
+        j += 1
+      }
+      g += 1
+    }
+    var i = 0
+    while (i < n) { off(i + 1) += off(i); i += 1 }
+    val eGroup   = new Array[Int](total.toInt)
+    val ePrE     = new Array[Double](total.toInt)
+    val aliveCnt = new Array[Int](n) // fill cursor, then the item's alive-group count
+    g = 0
+    while (g < nG) {
+      val members = in.groupItems(g)
+      val prE     = in.groupPrE(g)
+      var j = 0
+      while (j < members.length) {
+        val item = members(j)
+        val e    = off(item) + aliveCnt(item)
+        eGroup(e) = g
+        ePrE(e)   = prE(j)
+        aliveCnt(item) += 1
+        j += 1
+      }
+      g += 1
+    }
+
+    val deadGroup = new Array[Boolean](nG)
+    val processed = new Array[Boolean](n)
+    val kappa     = new Array[Int](n)
+    val nu        = new Array[Int](n)
+    val order     = new Array[Int](n)
+
+    /** The item's Pr(E) over its alive groups, in group order. */
+    def aliveRow(item: Int): Array[Double] = {
+      val probs = new Array[Double](aliveCnt(item))
+      var e = off(item)
+      var k = 0
+      while (k < probs.length) {
+        if (!deadGroup(eGroup(e))) { probs(k) = ePrE(e); k += 1 }
+        e += 1
+      }
+      probs
+    }
 
     var maxK = 0
-    var i = 0
+    i = 0
     while (i < n) {
-      kappa(i) = scorer(in.itemProb(i), aliveProbs(in, aliveGroup, i), theta)
+      kappa(i) = scorer(in.itemProb(i), aliveRow(i), theta)
       if (kappa(i) > maxK) maxK = kappa(i)
       i += 1
     }
     val initial = kappa.clone()
 
-    // bucket queue over κ ∈ [-1, maxK]; lazy deletion (entries are stale if
-    // the item's κ changed or it was already processed).
-    val buckets = Array.fill(maxK + 2)(mutable.ArrayDeque.empty[Int])
-    def bucketOf(k: Int) = k + 1
+    // FIFO bucket queue over κ ∈ [-1, maxK] (bucket κ + 1) with lazy
+    // deletion: an entry is stale if its item was processed or its κ changed.
+    val initialCount = new Array[Int](maxK + 2)
     i = 0
-    while (i < n) { buckets(bucketOf(kappa(i))).append(i); i += 1 }
+    while (i < n) { initialCount(kappa(i) + 1) += 1; i += 1 }
+    val bucket = Array.tabulate(maxK + 2)(b => new Array[Int](initialCount(b)))
+    val head   = new Array[Int](maxK + 2)
+    val tail   = new Array[Int](maxK + 2)
+    def push(b: Int, item: Int): Unit = {
+      if (tail(b) == bucket(b).length) { // full: compact if at most half is live, else double
+        val live = tail(b) - head(b)
+        if (head(b) > 0 && 2 * live <= bucket(b).length)
+          System.arraycopy(bucket(b), head(b), bucket(b), 0, live)
+        else bucket(b) = java.util.Arrays.copyOfRange(bucket(b), head(b), head(b) + math.max(8, 2 * bucket(b).length))
+        head(b) = 0
+        tail(b) = live
+      }
+      bucket(b)(tail(b)) = item
+      tail(b) += 1
+    }
+    i = 0
+    while (i < n) { push(kappa(i) + 1, i); i += 1 }
 
+    java.util.Arrays.fill(stamp, -1) // from here stamp(other) = the popped item that listed it
+    val affected   = new Array[Int](n)
+    var rescorings = 0L
+    var stalePops  = 0L
     var level = 0 // current bucket being drained
     var done  = 0
-    var pos   = 0
     while (done < n) {
-      while (level < buckets.length && buckets(level).isEmpty) level += 1
-      val item = buckets(level).removeHead()
-      if (!processed(item) && bucketOf(kappa(item)) == level) {
+      while (head(level) == tail(level)) level += 1
+      val item = bucket(level)(head(level))
+      head(level) += 1
+      if (processed(item) || kappa(item) + 1 != level) stalePops += 1
+      else {
         processed(item) = true
         nu(item) = kappa(item)
-        order(pos) = item; pos += 1
+        order(done) = item
         done += 1
-        // kill this item's alive groups; collect affected neighbours
-        val affected = mutable.LinkedHashSet.empty[Int]
-        val gs = in.itemGroups(item)
-        var gi = 0
-        while (gi < gs.length) {
-          val g = gs(gi)
-          if (aliveGroup(g)) {
-            aliveGroup(g) = false
-            val members = in.groupItems(g)
+        // kill this item's alive groups; collect affected neighbours in
+        // first-listed order (an alive group has no processed member)
+        var nAffected = 0
+        var e = off(item)
+        while (e < off(item + 1)) {
+          val grp = eGroup(e)
+          if (!deadGroup(grp)) {
+            deadGroup(grp) = true
+            val members = in.groupItems(grp)
             var j = 0
             while (j < members.length) {
               val other = members(j)
-              if (other != item && !processed(other) && kappa(other) > kappa(item))
-                affected += other
+              aliveCnt(other) -= 1
+              if (other != item && kappa(other) > kappa(item) && stamp(other) != item) {
+                stamp(other) = item
+                affected(nAffected) = other
+                nAffected += 1
+              }
               j += 1
             }
           }
-          gi += 1
+          e += 1
         }
-        affected.foreach { other =>
-          val fresh = scorer(in.itemProb(other), aliveProbs(in, aliveGroup, other), theta)
+        var a = 0
+        while (a < nAffected) {
+          val other   = affected(a)
+          val fresh   = scorer(in.itemProb(other), aliveRow(other), theta)
           val clamped = math.max(fresh, kappa(item)) // monotone-peeling clamp
+          rescorings += 1
           if (clamped < kappa(other)) {
             kappa(other) = clamped
             // clamped ≥ κ(item), whose bucket is `level`: never below the level being drained
-            buckets(bucketOf(clamped)).append(other)
+            push(clamped + 1, other)
           }
+          a += 1
         }
       }
     }
-    Result(nu, order, initial)
+    Result(nu, order, initial, rescorings, stalePops)
   }
 }

@@ -134,6 +134,66 @@ class ProbPeelingSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](ProbPeeling.Input.ofGroups(one, 0, Array.empty, Array.empty))
   }
 
+  test("peel rejects more than Int.MaxValue (group, item) incidences before allocating") {
+    val members = Array.range(0, 32768)
+    val prE     = Array.fill(32768)(0.5)
+    // 70,000 groups share one 32,768-member array: 2.29e9 incidences, no large allocation
+    val in = ProbPeeling.Input(Array.fill(32768)(1.0), Array.fill(70000)(members), Array.fill(70000)(prE),
+      Array.fill(32768)(Array.emptyIntArray))
+    val err = intercept[IllegalArgumentException](ProbPeeling.peel(in, 0.5, countScorer))
+    assert(err.getMessage.contains("2293760000"))
+  }
+
+  test("peel rejects a group that lists the same item twice") {
+    val one = Array.fill(3)(1.0)
+    intercept[IllegalArgumentException](
+      ProbPeeling.peel(ProbPeeling.Input.ofGroups(one, 3, Array(0, 1, 2, 1, 2, 1), Array.fill(6)(1.0)), 0.5, countScorer))
+    intercept[IllegalArgumentException](ProbPeeling.peel(
+      ProbPeeling.Input(one, Array(Array(0, 0)), Array(Array(1.0, 1.0)), Array(Array(0, 0), Array.empty, Array.empty)),
+      0.5, countScorer))
+  }
+
+  /** Replays `res.order` on the nested input: each popped item kills its
+    * alive groups and rescores, in first-listed order, the neighbours whose
+    * κ is above its own; returns (rescorings, κ decreases, final κ).
+    */
+  private def replay(in: ProbPeeling.Input, theta: Double, scorer: ProbPeeling.Scorer,
+                     res: ProbPeeling.Result): (Long, Long, Seq[Int]) = {
+    val alive = Array.fill(in.nGroups)(true)
+    val kappa = res.initialKappa.clone()
+    var (rescorings, decreases) = (0L, 0L)
+    for (item <- res.order) {
+      val level  = kappa(item)
+      val killed = in.itemGroups(item).filter(alive(_))
+      killed.foreach(alive(_) = false)
+      for (o <- killed.flatMap(in.groupItems(_)).distinct if o != item && kappa(o) > level) {
+        val probs = in.itemGroups(o).filter(alive(_)).map(g => in.groupPrE(g)(in.groupItems(g).indexOf(o)))
+        val k = math.max(scorer(in.itemProb(o), probs, theta), level)
+        rescorings += 1
+        if (k < kappa(o)) { kappa(o) = k; decreases += 1 }
+      }
+    }
+    (rescorings, decreases, kappa.toSeq)
+  }
+
+  test("counters: rescorings = scorer calls − items, stale pops ≤ κ decreases (random inputs)") {
+    val rnd = new Random(62)
+    var stale = 0L
+    for (arity <- 2 to 4; trial <- 1 to 10; theta <- Seq(0.1, 0.3)) {
+      val in      = ReferencePeelSpec.randomInput(rnd, arity)
+      val scorer  = new ReferencePeelSpec.Tracing(PoissonBinomial.kappaFast)
+      val res     = ProbPeeling.peel(in, theta, scorer)
+      val (rescorings, decreases, kappa) = replay(in, theta, PoissonBinomial.kappaFast, res)
+      val what    = s"arity $arity trial $trial θ=$theta"
+      assert(res.rescorings == scorer.calls - in.nItems, what)
+      assert(res.rescorings == rescorings, what)
+      assert(kappa == res.nu.toSeq, what)
+      assert(res.stalePops <= decreases, what)
+      stale += res.stalePops
+    }
+    assert(stale > 0) // the bound is not vacuous
+  }
+
   test("peeling rejects θ that is NaN or outside [0, 1]: ℓ DP, ℓ AP, truss and core") {
     val k4 = ProbGraph(for (u <- 0L until 4L; v <- u + 1 until 4L) yield (u, v, 0.9))
     for (theta <- Seq(Double.NaN, -0.5, 1.5)) {

@@ -1,0 +1,84 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.baseline.{ProbCore, ProbTruss}
+import repro.cliques.FourCliques
+import repro.graph.GraphGen
+import repro.prob.{Approximations, PoissonBinomial}
+import scala.collection.mutable
+import scala.util.Random
+
+/** The flat kernel `ProbPeeling.peel` against the nested `ReferencePeel`:
+  * the same scorer calls with the same arguments in the same order, and the
+  * same ν, processing order, initial κ and counters. Equal call traces mean
+  * each scorer array has the old length and order, which is what keeps DP
+  * and AP ν bit-identical.
+  */
+class ReferencePeelSpec extends AnyFunSuite {
+  import ReferencePeelSpec._
+
+  private val scorers: Seq[(String, ProbPeeling.Scorer)] = Seq(
+    "count"     -> ((_, probs, _) => probs.length),
+    "kappaFast" -> PoissonBinomial.kappaFast,
+    "kappaAuto" -> (Approximations.kappaAuto(_, _, _)))
+  private val thetas = Seq(0.1, 0.2, 0.3)
+
+  private def assertSameRun(what: String, in: ProbPeeling.Input, theta: Double, scorer: ProbPeeling.Scorer): Unit = {
+    val (flat, nested) = (new Tracing(scorer), new Tracing(scorer))
+    val got  = ProbPeeling.peel(in, theta, flat)
+    val want = ReferencePeel.peel(in, theta, nested)
+    val (a, b) = (flat.trace.result(), nested.trace.result())
+    assert(java.util.Arrays.equals(a, b),
+      s"$what: scorer traces differ (lengths ${a.length}, ${b.length}; first difference at ${java.util.Arrays.mismatch(a, b)})")
+    assert(got.nu.sameElements(want.nu), what)
+    assert(got.order.sameElements(want.order), what)
+    assert(got.initialKappa.sameElements(want.initialKappa), what)
+    assert((got.rescorings, got.stalePops) == ((want.rescorings, want.stalePops)), what)
+  }
+
+  test("flat and nested kernels: identical scorer traces and results on random inputs of arity 2, 3 and 4") {
+    val rnd = new Random(61)
+    for (arity <- 2 to 4; trial <- 1 to 8) {
+      val in = randomInput(rnd, arity)
+      for ((name, scorer) <- scorers; theta <- thetas)
+        assertSameRun(s"arity $arity trial $trial $name θ=$theta", in, theta, scorer)
+    }
+  }
+
+  test("flat and nested kernels: identical on the ℓ, truss and core inputs of the six Table 1/2 stand-ins") {
+    for (ds <- GraphGen.paperDatasets) {
+      val g = GraphGen.dataset(ds)
+      val inputs = Seq(
+        "ℓ"     -> LocalNucleus.kernelInput(FourCliques.build(g)),
+        "truss" -> ProbTruss.kernelInput(g, g.edges),
+        "core"  -> ProbCore.kernelInput(g))
+      for ((kind, in) <- inputs; (name, scorer) <- scorers; theta <- thetas)
+        assertSameRun(s"$ds $kind $name θ=$theta", in, theta, scorer)
+    }
+  }
+}
+
+object ReferencePeelSpec {
+
+  /** Records each call as (itemProb, θ, length, probs...) and delegates. */
+  final class Tracing(base: ProbPeeling.Scorer) extends ((Double, Array[Double], Double) => Int) {
+    val trace = mutable.ArrayBuilder.make[Double]
+    var calls = 0L
+    def apply(p: Double, probs: Array[Double], theta: Double): Int = {
+      trace += p; trace += theta; trace += probs.length; trace.addAll(probs)
+      calls += 1
+      base(p, probs, theta)
+    }
+  }
+
+  /** 20–59 items and up to 4·n groups of `arity` distinct random items; a
+    * third of the Pr(E) values and item probabilities are 1, the rest
+    * uniform, so κ runs from −1 to well above the level at θ ≤ 0.3.
+    */
+  def randomInput(rnd: Random, arity: Int): ProbPeeling.Input = {
+    val n = 20 + rnd.nextInt(40)
+    def prob() = if (rnd.nextInt(3) == 0) 1.0 else rnd.nextDouble()
+    val members = Array.fill(rnd.nextInt(4 * n + 1))(rnd.shuffle((0 until n).toVector).take(arity)).flatten
+    ProbPeeling.Input.ofGroups(Array.fill(n)(prob()), arity, members, Array.fill(members.length)(prob()))
+  }
+}
