@@ -89,13 +89,16 @@ object ProbPeeling {
                           rescorings: Long, stalePops: Long)
 
   /** Run the peeling to completion. O(Σ κ·c) rescoring cost with a bucket
-    * queue and lazy deletion, matching the paper's complexity analysis; the
-    * bookkeeping around each scorer call is O(1) per (group, member)
-    * incidence and per queue entry (Batagelj–Zaveršnik bucket peeling).
+    * queue and lazy deletion, matching the paper's complexity analysis
+    * (Batagelj–Zaveršnik bucket peeling). The bookkeeping is O(1) per queue
+    * entry, a copy of the alive row per scorer call, and a binary search plus
+    * an O(row) memmove per (dead group, surviving member).
     *
     * The item→(group, Pr(E)) incidences are derived from `groupItems` as a
     * CSR (`off`, `eGroup`, `ePrE`) with each item's row in increasing group
-    * order, the order `Input.ofGroups` gives `itemGroups`. `peel` rejects
+    * order, the order `Input.ofGroups` gives `itemGroups`. Each row keeps its
+    * alive groups as a prefix of length `aliveCnt`, still in group order: a
+    * dead group is shifted out of every other member's prefix. `peel` rejects
     * more than `Int.MaxValue` incidences and a group that lists an item twice.
     */
   def peel(in: Input, theta: Double, scorer: Scorer): Result = {
@@ -129,7 +132,7 @@ object ProbPeeling {
     while (i < n) { off(i + 1) += off(i); i += 1 }
     val eGroup   = new Array[Int](total.toInt)
     val ePrE     = new Array[Double](total.toInt)
-    val aliveCnt = new Array[Int](n) // fill cursor, then the item's alive-group count
+    val aliveCnt = new Array[Int](n) // fill cursor, then the length of the item's alive prefix
     g = 0
     while (g < nG) {
       val members = in.groupItems(g)
@@ -146,23 +149,14 @@ object ProbPeeling {
       g += 1
     }
 
-    val deadGroup = new Array[Boolean](nG)
     val processed = new Array[Boolean](n)
     val kappa     = new Array[Int](n)
     val nu        = new Array[Int](n)
     val order     = new Array[Int](n)
 
     /** The item's Pr(E) over its alive groups, in group order. */
-    def aliveRow(item: Int): Array[Double] = {
-      val probs = new Array[Double](aliveCnt(item))
-      var e = off(item)
-      var k = 0
-      while (k < probs.length) {
-        if (!deadGroup(eGroup(e))) { probs(k) = ePrE(e); k += 1 }
-        e += 1
-      }
-      probs
-    }
+    def aliveRow(item: Int): Array[Double] =
+      java.util.Arrays.copyOfRange(ePrE, off(item), off(item) + aliveCnt(item))
 
     var maxK = 0
     i = 0
@@ -212,26 +206,30 @@ object ProbPeeling {
         nu(item) = kappa(item)
         order(done) = item
         done += 1
-        // kill this item's alive groups; collect affected neighbours in
-        // first-listed order (an alive group has no processed member)
+        // kill this item's alive groups: remove each from the other members'
+        // alive prefixes, and collect the affected neighbours in first-listed
+        // order (an alive group has no processed member)
         var nAffected = 0
         var e = off(item)
-        while (e < off(item + 1)) {
-          val grp = eGroup(e)
-          if (!deadGroup(grp)) {
-            deadGroup(grp) = true
-            val members = in.groupItems(grp)
-            var j = 0
-            while (j < members.length) {
-              val other = members(j)
+        while (e < off(item) + aliveCnt(item)) {
+          val grp     = eGroup(e)
+          val members = in.groupItems(grp)
+          var j = 0
+          while (j < members.length) {
+            val other = members(j)
+            if (other != item) {
+              val end = off(other) + aliveCnt(other)
+              val at  = java.util.Arrays.binarySearch(eGroup, off(other), end, grp)
+              System.arraycopy(eGroup, at + 1, eGroup, at, end - at - 1)
+              System.arraycopy(ePrE, at + 1, ePrE, at, end - at - 1)
               aliveCnt(other) -= 1
-              if (other != item && kappa(other) > kappa(item) && stamp(other) != item) {
+              if (kappa(other) > kappa(item) && stamp(other) != item) {
                 stamp(other) = item
                 affected(nAffected) = other
                 nAffected += 1
               }
-              j += 1
             }
+            j += 1
           }
           e += 1
         }

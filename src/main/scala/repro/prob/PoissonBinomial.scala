@@ -57,17 +57,17 @@ object PoissonBinomial {
   }
 
   /** κ with the paper's O(κ·c) cost: run the DP with the count dimension
-    * capped at kCap (maintaining only Pr[ζ = 0..kCap−1] plus the lumped
-    * tail mass), and double kCap until the answer is strictly below the
-    * cap. Pr[ζ ≥ k] = 1 − Σ_{j<k} Pr[ζ = j] needs only the capped pmf.
+    * capped at `cap` (only Pr[ζ = 0..cap−1], which no cap changes, so neither
+    * does κ: Pr[ζ ≥ k] = 1 − Σ_{j<k} Pr[ζ = j]). The first cap, `capSeed`,
+    * exceeds Cantelli's bound on κ; if κ still reaches the cap, it doubles.
     */
   def kappaFast(existProb: Double, probs: Array[Double], theta: Double): Int = {
     if (existProb < theta) return -1
     val c = probs.length
     if (c == 0) return 0
-    var kCap = 4
-    while (true) {
-      val cap = math.min(kCap, c)
+    var cap  = capSeed(existProb, probs, theta)
+    var best = -1
+    while (best < 0) {
       // dp(j) = Pr[ζ = j] for j < cap (tail mass ≥ cap is implicit)
       val dp = new Array[Double](cap)
       dp(0) = 1.0
@@ -79,19 +79,26 @@ object PoissonBinomial {
         dp(0) = (1 - p) * dp(0)
         i += 1
       }
-      // find the largest k ≤ cap with existProb·(1 − Pr[ζ < k]) ≥ θ
-      var cdf  = 0.0
-      var best = 0
-      var k    = 1
-      var fail = false
-      while (k <= cap && !fail) {
-        cdf += dp(k - 1)
-        if (existProb * math.max(0.0, 1.0 - cdf) >= theta) best = k else fail = true
-        k += 1
-      }
-      if (best < cap || cap == c) return best
-      kCap *= 2
+      // best = the largest k ≤ cap with existProb·(1 − Pr[ζ < k]) ≥ θ
+      var cdf = 0.0
+      best = 0
+      while (best < cap && { cdf += dp(best); existProb * math.max(0.0, 1.0 - cdf) >= theta }) best += 1
+      if (best == cap && cap < c) { best = -1; cap = math.min(2 * cap, c) } // κ may lie above the cap
     }
-    0 // unreachable
+    best
+  }
+
+  /** The first DP cap of `kappaFast`, at most c. With μ = Σp, σ² = Σp(1−p)
+    * and t = θ/existProb, Cantelli's inequality Pr[ζ ≥ μ + a] ≤ σ²/(σ² + a²)
+    * gives κ ≤ μ + σ·√(1/t − 1); the seed is that bound rounded down, plus 2
+    * for rounding. θ = 0 gives c (κ = c), as does a bound that is NaN (0·∞).
+    */
+  private[prob] def capSeed(existProb: Double, probs: Array[Double], theta: Double): Int = {
+    val c = probs.length
+    var mu, sigma2 = 0.0
+    var i = 0
+    while (i < c) { val p = probs(i); mu += p; sigma2 += p * (1 - p); i += 1 }
+    val bound = mu + math.sqrt(sigma2) * math.sqrt(existProb / theta - 1)
+    if (theta > 0 && bound < c) math.min(c, math.floor(bound).toInt + 2) else c
   }
 }

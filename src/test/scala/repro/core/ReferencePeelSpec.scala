@@ -45,6 +45,17 @@ class ReferencePeelSpec extends AnyFunSuite {
     }
   }
 
+  test("flat and nested kernels: identical on high-support inputs, with groups killed at the start, middle and end of alive rows") {
+    val rnd = new Random(67)
+    for (arity <- 2 to 4; trial <- 1 to 3) {
+      val in = highSupportInput(rnd, arity)
+      for ((name, scorer) <- scorers; theta <- thetas)
+        assertSameRun(s"arity $arity trial $trial $name θ=$theta", in, theta, scorer)
+      val (start, middle, end) = killPositions(in, ReferencePeel.peel(in, 0.1, PoissonBinomial.kappaFast).order)
+      assert(start > 0 && middle > 0 && end > 0, s"arity $arity trial $trial: kills at ($start, $middle, $end)")
+    }
+  }
+
   test("flat and nested kernels: identical on the ℓ, truss and core inputs of the six Table 1/2 stand-ins") {
     for (ds <- GraphGen.paperDatasets) {
       val g = GraphGen.dataset(ds)
@@ -80,5 +91,38 @@ object ReferencePeelSpec {
     def prob() = if (rnd.nextInt(3) == 0) 1.0 else rnd.nextDouble()
     val members = Array.fill(rnd.nextInt(4 * n + 1))(rnd.shuffle((0 until n).toVector).take(arity)).flatten
     ProbPeeling.Input.ofGroups(Array.fill(n)(prob()), arity, members, Array.fill(members.length)(prob()))
+  }
+
+  /** 15–29 items, each the first member of 50 groups whose other members are
+    * random, with the groups in random id order: every item lies in at least
+    * 50 groups, scattered over its row.
+    */
+  def highSupportInput(rnd: Random, arity: Int): ProbPeeling.Input = {
+    val n = 15 + rnd.nextInt(15)
+    def prob() = if (rnd.nextInt(3) == 0) 1.0 else rnd.nextDouble()
+    val groups = for (item <- 0 until n; _ <- 1 to 50)
+      yield item +: rnd.shuffle((0 until n).filter(_ != item).toVector).take(arity - 1)
+    val members = rnd.shuffle(groups).flatten.toArray
+    ProbPeeling.Input.ofGroups(Array.fill(n)(prob()), arity, members, Array.fill(members.length)(prob()))
+  }
+
+  /** Replays a peel in processing `order` and counts, over every (dead group,
+    * surviving member) pair, where the group sat in that member's alive row
+    * in group order: (first, strictly inside, last) of a row of two or more.
+    */
+  def killPositions(in: ProbPeeling.Input, order: Array[Int]): (Int, Int, Int) = {
+    val alive = Array.fill(in.nGroups)(true)
+    var (start, middle, end) = (0, 0, 0)
+    for (item <- order; g <- in.itemGroups(item) if alive(g)) {
+      for (other <- in.groupItems(g) if other != item) {
+        val row = in.itemGroups(other).filter(alive)
+        val at  = row.indexOf(g)
+        if (row.length > 1) {
+          if (at == 0) start += 1 else if (at == row.length - 1) end += 1 else middle += 1
+        }
+      }
+      alive(g) = false
+    }
+    (start, middle, end)
   }
 }

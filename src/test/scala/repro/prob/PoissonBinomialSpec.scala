@@ -2,6 +2,10 @@ package repro.prob
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop, Test => SCTest}
+import repro.baseline.{ProbCore, ProbTruss}
+import repro.cliques.FourCliques
+import repro.core.{LocalNucleus, ProbPeeling}
+import repro.graph.GraphGen
 import scala.util.Random
 
 /** Exact Poisson-binomial DP: checked against direct subset enumeration and
@@ -93,6 +97,55 @@ class PoissonBinomialSpec extends AnyFunSuite {
       val th    = math.max(0.01, rnd.nextDouble())
       assert(PoissonBinomial.kappaFast(ex, probs, th) == PoissonBinomial.kappa(ex, probs, th))
     }
+  }
+
+  test("kappaFast equals the cap-doubling ReferenceKappa bit for bit (random, c ≤ 300, θ ∈ [0, 1])") {
+    val rnd = new Random(7)
+    for (_ <- 1 to 2000) {
+      val c     = rnd.nextInt(301)
+      val probs = Array.fill(c)(rnd.nextInt(4) match { case 0 => 0.0; case 1 => 1.0; case _ => rnd.nextDouble() })
+      val th    = rnd.nextInt(6) match { case 0 => 0.0; case 1 => 1.0; case _ => rnd.nextDouble() }
+      val ex    = if (rnd.nextBoolean()) th else rnd.nextDouble()
+      assert(PoissonBinomial.kappaFast(ex, probs, th) == ReferenceKappa.kappa(ex, probs, th),
+        s"c=$c θ=$th existProb=$ex")
+    }
+  }
+
+  test("kappaFast equals ReferenceKappa on degenerate rows: p ∈ {0, 1} (σ² = 0) and c = 1") {
+    val rnd = new Random(8)
+    val rows = Seq.fill(200)(Array.fill(1 + rnd.nextInt(60))(rnd.nextInt(2).toDouble)) ++
+      Seq(0.0, 1e-12, 0.3, 0.5, 1 - 1e-12, 1.0).map(p => Array(p))
+    for (probs <- rows; th <- Seq(0.0, 1e-9, 0.1, 0.5, 1.0); ex <- Seq(th, 0.7, 1.0))
+      assert(PoissonBinomial.kappaFast(ex, probs, th) == ReferenceKappa.kappa(ex, probs, th),
+        s"${probs.mkString(",")} θ=$th existProb=$ex")
+  }
+
+  test("kappaFast at θ = 0 is c, and its cap seed is c") {
+    val rnd = new Random(9)
+    for (_ <- 1 to 200) {
+      val probs = randProbs(rnd, 100)
+      val ex    = if (rnd.nextBoolean()) 0.0 else rnd.nextDouble()
+      assert(PoissonBinomial.kappaFast(ex, probs, 0.0) == probs.length)
+      assert(PoissonBinomial.capSeed(ex, probs, 0.0) == probs.length)
+    }
+  }
+
+  test("the cap seed settles κ in one DP pass on every ℓ, truss and core scorer call of the six Table 1/2 stand-ins") {
+    var (calls, secondPass) = (0L, 0L)
+    val scorer: ProbPeeling.Scorer = (ex, probs, th) => {
+      val k    = PoissonBinomial.kappaFast(ex, probs, th)
+      val seed = PoissonBinomial.capSeed(ex, probs, th)
+      calls += 1
+      if (!(k < seed || seed == probs.length)) secondPass += 1
+      k
+    }
+    for (ds <- GraphGen.paperDatasets) {
+      val g = GraphGen.dataset(ds)
+      val inputs = Seq(
+        LocalNucleus.kernelInput(FourCliques.build(g)), ProbTruss.kernelInput(g, g.edges), ProbCore.kernelInput(g))
+      for (in <- inputs; theta <- Seq(0.1, 0.2, 0.3)) ProbPeeling.peel(in, theta, scorer)
+    }
+    assert(calls > 0 && secondPass == 0, s"$secondPass of $calls calls needed a second DP pass")
   }
 
   test("kappa edge cases") {
