@@ -13,6 +13,9 @@ import scala.util.Random
   * Monte-Carlo sampling of n possible worlds against the indicator
   * 1_g(G,Δ,k): the sampled world must itself be a deterministic k-nucleus
   * containing Δ.
+  *
+  * g and w share one world-counting loop, [[worldCounts]], and one
+  * reporter, [[nucleus]]; both build candidates with `ProbGraph.subgraph`.
   */
 object GlobalNucleus {
 
@@ -43,8 +46,7 @@ object GlobalNucleus {
   def decomposeAt(local: LocalNucleus.Decomposition, k: Int,
                   nSamples: Int, seed: Long): Seq[ProbNucleus] = {
     requireSamples(nSamples)
-    val cs    = local.structure
-    val theta = local.theta
+    val cs = local.structure
     // k-alive cliques of C_k: all four member triangles have ν ≥ k
     val kAlive = cs.cliquesWhere(local.nu(_) >= k)
     val aliveCliquesOf: Int => Array[Int] = t => cs.triCliques(t).filter(kAlive(_))
@@ -70,7 +72,7 @@ object GlobalNucleus {
         }
         val candTris = triCount.keysIterator.toArray
         candTris.foreach(inCandidate(_) = true)
-        out ++= validate(local.graph, cs, candTris, k, theta, nSamples, seed + t)
+        out ++= validate(local, candTris, k, nSamples, seed + t)
       }
       t += 1
     }
@@ -78,36 +80,44 @@ object GlobalNucleus {
   }
 
   /** Monte-Carlo validation of one candidate (Algorithm 2, lines 9-16). */
-  private def validate(g: ProbGraph, cs: repro.cliques.FourCliques.CliqueStructure,
-                       candTris: Array[Int], k: Int,
-                       theta: Double, nSamples: Int, seed: Long): Option[ProbNucleus] = {
-    // candidate subgraph: union of its 4-cliques' edges (labels preserved),
-    // which are its triangles' edges since every member triangle is in it
-    val labeledEdges = candTris.flatMap { t =>
-      val (u, v, w) = (cs.tris.u(t), cs.tris.v(t), cs.tris.w(t))
-      Array((u, v), (u, w), (v, w))
-    }.distinct.map { case (u, v) => (g.labels(u), g.labels(v), g.prob(u, v)) }
-    val h  = ProbGraph(labeledEdges.toIndexedSeq)
-    val ws = new DetNucleus.WorldStructure(h)
+  private def validate(local: LocalNucleus.Decomposition, candTris: Array[Int], k: Int,
+                       nSamples: Int, seed: Long): Option[ProbNucleus] = {
+    val (g, tris) = (local.graph, local.structure.tris)
+    val ws = new DetNucleus.WorldStructure(local.subgraph(candTris))
+    val h  = ws.graph
     // the candidate's triangles in h: both graphs number vertices in label order
     def hId(x: Int): Int = java.util.Arrays.binarySearch(h.labels, g.labels(x))
     val index = new Triangles.Index(h, ws.cs.tris)
-    val hTris = candTris.map(t => index.at(h.slot(hId(cs.tris.u(t)), hId(cs.tris.v(t))), hId(cs.tris.w(t))))
-    val counts = new Array[Int](hTris.length)
+    val hTris = candTris.map(t => index.at(h.slot(hId(tris.u(t)), hId(tris.v(t))), hId(tris.w(t))))
+    val none  = new Array[Boolean](ws.cs.nTriangles)
+    val counts = worldCounts(ws, nSamples, seed) { mask =>
+      if (DetNucleus.isKNucleus(ws, mask, k)) ws.aliveTriangles(mask) else none
+    }
+    val minTail = hTris.map(counts).min.toDouble / nSamples
+    if (minTail >= local.theta) Some(nucleus(ws, k, hTris, minTail)) else None
+  }
+
+  /** How many of n seeded worlds of `ws` credit each of its triangles:
+    * `credited` maps a world's edge mask to its credited triangles.
+    */
+  private[core] def worldCounts(ws: DetNucleus.WorldStructure, nSamples: Int, seed: Long)
+                               (credited: Array[Boolean] => Array[Boolean]): Array[Int] = {
+    val counts = new Array[Int](ws.cs.nTriangles)
     val rnd    = new Random(seed)
     var s = 0
     while (s < nSamples) {
-      val mask = Sampler.sampleMask(ws.edges, rnd)
-      if (DetNucleus.isKNucleus(ws, mask, k)) {
-        val alive = ws.aliveTriangles(mask)
-        var i = 0
-        while (i < hTris.length) { if (alive(hTris(i))) counts(i) += 1; i += 1 }
-      }
+      val hit = credited(Sampler.sampleMask(ws.edges, rnd))
+      var t = 0
+      while (t < counts.length) { if (hit(t)) counts(t) += 1; t += 1 }
       s += 1
     }
-    val minTail = counts.min.toDouble / nSamples
-    if (minTail >= theta)
-      Some(ProbNucleus(k, h.labels.clone(), labeledEdges, minTail))
-    else None
+    counts
+  }
+
+  /** The nucleus spanned by the triangles `triIds` of `ws`'s graph, in labels. */
+  private[core] def nucleus(ws: DetNucleus.WorldStructure, k: Int, triIds: Array[Int], minTail: Double): ProbNucleus = {
+    val h        = ws.graph
+    val (vs, es) = LocalNucleus.span(h, ws.cs, triIds)
+    ProbNucleus(k, vs.map(h.labels), es.map { case (u, v, p) => (h.labels(u), h.labels(v), p) }, minTail)
   }
 }

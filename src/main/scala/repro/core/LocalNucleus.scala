@@ -52,6 +52,11 @@ object LocalNucleus {
 
     /** All nuclei for all k in 1..kMax. */
     def allNuclei: Seq[Nucleus] = (1 to kMax).flatMap(nucleiAt)
+
+    /** The graph spanned by the triangles `triIds` (the edges of [[span]]),
+      * with `graph`'s labels: an ℓ-nucleus's graph, or a g candidate.
+      */
+    def subgraph(triIds: Array[Int]): ProbGraph = graph.subgraph(span(graph, structure, triIds)._2.toIndexedSeq)
   }
 
   def scorer(mode: Mode): ProbPeeling.Scorer = mode match {

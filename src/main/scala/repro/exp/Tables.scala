@@ -126,8 +126,7 @@ object Tables {
     val (nuc, nSec) = timed {
       val d = LocalNucleus.decompose(g, theta, LocalNucleus.DP)
       val k = d.kMax
-      (k, d.nucleiAt(k).map(n => ProbGraph(n.edges.toIndexedSeq.map {
-        case (u, v, p) => (g.labels(u), g.labels(v), p) })))
+      (k, d.nucleiAt(k).map(n => d.subgraph(n.triangleIds)))
     }
     val (tru, tSec) = timed {
       val d = ProbTruss.decompose(g, theta)

@@ -70,6 +70,12 @@ final class ProbGraph private (
     ids
   }
 
+  /** The graph of some of this graph's edges `es` (dense ids, each with the
+    * probability to give it), keeping this graph's vertex labels.
+    */
+  def subgraph(es: Seq[(Int, Int, Double)]): ProbGraph =
+    ProbGraph(es.map { case (u, v, p) => (labels(u), labels(v), p) })
+
   /** Average edge probability (Table 1 column p_avg). */
   def avgProb: Double = if (m == 0) 0.0 else {
     var s = 0.0; var i = 0

@@ -32,18 +32,8 @@ object Sampler {
   /** Expand a mask to a deterministic graph (p ≡ 1) on the present edges.
     * Vertex labels are preserved through `labels` of the source graph.
     */
-  def worldGraph(g: ProbGraph, edges: Array[(Int, Int, Double)], mask: Array[Boolean]): ProbGraph = {
-    val kept = Seq.newBuilder[(Long, Long, Double)]
-    var i = 0
-    while (i < edges.length) {
-      if (mask(i)) {
-        val (u, v, _) = edges(i)
-        kept += ((g.labels(u), g.labels(v), 1.0))
-      }
-      i += 1
-    }
-    ProbGraph(kept.result())
-  }
+  def worldGraph(g: ProbGraph, edges: Array[(Int, Int, Double)], mask: Array[Boolean]): ProbGraph =
+    g.subgraph(edges.indices.collect { case i if mask(i) => (edges(i)._1, edges(i)._2, 1.0) })
 
   /** Sample n worlds of g as deterministic graphs, deterministic in seed. */
   def sampleWorlds(g: ProbGraph, n: Int, seed: Long): IndexedSeq[ProbGraph] = {

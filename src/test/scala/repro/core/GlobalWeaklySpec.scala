@@ -105,6 +105,9 @@ class GlobalWeaklySpec extends AnyFunSuite {
   }
 
   test("containment: every g-nucleus vertex/edge set is inside some w-nucleus, inside some ℓ-nucleus") {
+    // Checks g ⊆ ℓ and w ⊆ ℓ only: g and w estimate their tails from
+    // different worlds, so a g-nucleus need not lie inside a w-nucleus
+    // here. The p ≡ 1 test below checks g ⊆ w exactly.
     val rnd = new Random(909)
     for (trial <- 1 to 5) {
       val es = for { a <- 0 until 7; b <- a + 1 until 7 if rnd.nextDouble() < 0.8 }
@@ -130,6 +133,35 @@ class GlobalWeaklySpec extends AnyFunSuite {
         }
       }
     }
+  }
+
+  test("p ≡ 1: ℓ is the deterministic decomposition, w-nuclei are the ℓ-nuclei, g-nuclei are k-nuclei inside them") {
+    val rnd = new Random(2718)
+    var (levels, gSeen, wSeen) = (0, 0, 0)
+    def labelEdges(es: Array[(Long, Long, Double)]): Set[(Long, Long)] = es.map { case (u, v, _) => (u, v) }.toSet
+    for (trial <- 1 to 20) {
+      val n = 7 + rnd.nextInt(5)
+      val g = ProbGraph(for { a <- 0 until n; b <- a + 1 until n if rnd.nextDouble() < 0.7 }
+        yield (a.toLong, b.toLong, 1.0))
+      val local = LocalNucleus.decompose(g, theta = 0.5, LocalNucleus.DP)
+      assert(local.nu.toSeq == DetNucleus.decompose(g)._2.toSeq, s"trial $trial: ℓ ν")
+      for (k <- 1 to local.kMax) {
+        // every world is the whole candidate, so n = 3 needs no luck
+        val ls = local.nucleiAt(k).map(nu => labelEdges(nu.edges.map { case (u, v, p) => (g.labels(u), g.labels(v), p) }))
+        val ws = WeaklyGlobalNucleus.decomposeAt(local, k, 3, seed = trial)
+        val gs = GlobalNucleus.decomposeAt(local, k, 3, seed = trial)
+        assert(ws.forall(_.minTail == 1.0), s"trial $trial k=$k: w tails")
+        assert(ws.map(w => labelEdges(w.edges)).sortBy(_.toSeq.sorted.toString) == ls.sortBy(_.toSeq.sorted.toString),
+          s"trial $trial k=$k: w-nuclei differ from the ℓ-nuclei")
+        gs.foreach { gn =>
+          assert(gn.minTail == 1.0 && DetNucleus.isKNucleus(gn.toGraph, k), s"trial $trial k=$k: g-nucleus")
+          assert(ws.exists(w => labelEdges(gn.edges).subsetOf(labelEdges(w.edges))), s"trial $trial k=$k: g outside w")
+        }
+        levels += 1; gSeen += gs.size; wSeen += ws.size
+      }
+    }
+    info(s"$levels levels, $gSeen g-nuclei, $wSeen w-nuclei")
+    assert(levels >= 20 && gSeen >= 20 && wSeen >= 20, s"$levels levels, $gSeen g-nuclei, $wSeen w-nuclei")
   }
 
   test("w estimates are close to brute force per triangle (randomized)") {

@@ -201,6 +201,22 @@ class LocalNucleusSpec extends AnyFunSuite {
     assert(withNuclei >= 5, s"only $withNuclei graphs had nuclei at k ≥ 1")
   }
 
+  test("subgraph of an ℓ-nucleus's triangles is the graph of its edges in labels (krogan, dblp)") {
+    def same(a: ProbGraph, b: ProbGraph): Boolean =
+      a.labels.sameElements(b.labels) && a.offsets.sameElements(b.offsets) &&
+        a.adj.sameElements(b.adj) && a.adjProb.sameElements(b.adjProb)
+    for (name <- Seq("krogan", "dblp")) {
+      val g = GraphGen.dataset(name)
+      val d = LocalNucleus.decompose(g, theta = 0.1, LocalNucleus.DP)
+      val nuclei = d.allNuclei
+      assert(d.kMax >= 2 && nuclei.nonEmpty, s"$name: kMax ${d.kMax}")
+      nuclei.foreach { n =>
+        val byHand = ProbGraph(n.edges.toIndexedSeq.map { case (u, v, p) => (g.labels(u), g.labels(v), p) })
+        assert(same(d.subgraph(n.triangleIds), byHand), s"$name k=${n.k}")
+      }
+    }
+  }
+
   test("θ larger than every triangle probability empties the decomposition") {
     val g   = ProbGraph(Seq((0L, 1L, 0.3), (1L, 2L, 0.3), (0L, 2L, 0.3)))
     val dec = LocalNucleus.decompose(g, 0.9, LocalNucleus.DP)

@@ -46,6 +46,18 @@ class ProbGraphSpec extends AnyFunSuite {
       intercept[IllegalArgumentException](ProbGraph(Seq((1L, 2L, p))))
   }
 
+  test("subgraph keeps labels and the given probabilities") {
+    val g  = ProbGraph(Seq((10L, 20L, 0.5), (20L, 30L, 0.6), (30L, 40L, 0.7), (40L, 10L, 0.8), (10L, 30L, 0.9)))
+    val h  = g.subgraph(g.edges.toSeq.filter { case (u, v, _) => g.labels(u) != 20L && g.labels(v) != 20L })
+    def byLabels(x: ProbGraph) = x.edges.map { case (u, v, p) => (x.labels(u), x.labels(v), p) }.toSet
+    assert(h.labels.toSeq == Seq(10L, 30L, 40L))
+    assert(byLabels(h) == Set((10L, 30L, 0.9), (10L, 40L, 0.8), (30L, 40L, 0.7)))
+    // the probability is the one given, not the source graph's
+    val (a, b) = (java.util.Arrays.binarySearch(g.labels, 20L), java.util.Arrays.binarySearch(g.labels, 30L))
+    assert(byLabels(g.subgraph(Seq((a, b, 1.0)))) == Set((20L, 30L, 1.0)))
+    assert(g.subgraph(Nil).n == 0)
+  }
+
   test("neighbors sorted") {
     val g = ProbGraph(Seq((5L, 1L, 0.5), (5L, 9L, 0.5), (5L, 3L, 0.5)))
     val vid5 = java.util.Arrays.binarySearch(g.labels, 5L)
