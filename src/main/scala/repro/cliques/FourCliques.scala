@@ -61,41 +61,44 @@ object FourCliques {
   def build(g: ProbGraph): CliqueStructure = {
     val tris  = Triangles.enumerate(g)
     val index = new Triangles.Index(g, tris)
-    val ct = Array.newBuilder[Int]
-    val ce = Array.newBuilder[Double]
+    // 4 entries per clique, grown by doubling; the length stays a multiple of 4
+    var ct = new Array[Int](64)
+    var ce = new Array[Double](64)
+    var len = 0
     val triDeg = new Array[Int](tris.size)
-    var nCliques = 0
     var t = 0
     while (t < tris.size) {
-      val (u, v, w) = (tris.u(t), tris.v(t), tris.w(t))
+      val u = tris.u(t); val v = tris.v(t); val w = tris.w(t)
       // the base edges' slots find the clique's other triangles and give their probabilities
       val uv = g.slot(u, v); val uw = g.slot(u, w); val vw = g.slot(v, w)
       val puv = g.adjProb(uv); val puw = g.adjProb(uw); val pvw = g.adjProb(vw)
-      // 3-way sorted intersection of adj(u), adj(v), adj(w) for x > w:
-      // each 4-clique {u,v,w,x} with u<v<w<x is found exactly once, from
-      // its lexicographically-least triangle.
-      var a = g.offsets(u); var b = g.offsets(v); var c = g.offsets(w)
+      // 3-way sorted intersection of adj(u), adj(v), adj(w) above w: each
+      // 4-clique {u,v,w,x} with u<v<w<x is found exactly once, from its
+      // lexicographically-least triangle. Rows u and v hold w at slots uw
+      // and vw; w's own row starts above w at its insertion point.
+      var a = uw + 1; var b = vw + 1
+      var c = -1 - java.util.Arrays.binarySearch(g.adj, g.offsets(w), g.offsets(w + 1), w)
       val aE = g.offsets(u + 1); val bE = g.offsets(v + 1); val cE = g.offsets(w + 1)
       while (a < aE && b < bE && c < cE) {
         val x = g.adj(a); val y = g.adj(b); val z = g.adj(c)
         if (x == y && y == z) {
-          if (x > w) {
-            require(nCliques < MaxCliques,
-              s"more than $MaxCliques 4-cliques overflow the flat clique index")
-            val pux = g.adjProb(a); val pvx = g.adjProb(b); val pwx = g.adjProb(c)
-            val t_uvw = t
-            val t_uvx = index.at(uv, x)
-            val t_uwx = index.at(uw, x)
-            val t_vwx = index.at(vw, x)
-            // Pr(E_i) of each member = product of the 3 edges to its apex
-            ct += t_uvw; ce += pux * pvx * pwx // apex x
-            ct += t_uvx; ce += puw * pvw * pwx // apex w
-            ct += t_uwx; ce += puv * pvw * pvx // apex v
-            ct += t_vwx; ce += puv * puw * pux // apex u
-            triDeg(t_uvw) += 1; triDeg(t_uvx) += 1
-            triDeg(t_uwx) += 1; triDeg(t_vwx) += 1
-            nCliques += 1
+          require(len / 4 < MaxCliques, s"more than $MaxCliques 4-cliques overflow the flat clique index")
+          if (len == ct.length) {
+            val grown = math.min(2L * len, 4L * MaxCliques).toInt
+            ct = java.util.Arrays.copyOf(ct, grown); ce = java.util.Arrays.copyOf(ce, grown)
           }
+          val pux = g.adjProb(a); val pvx = g.adjProb(b); val pwx = g.adjProb(c)
+          val t_uvx = index.at(uv, x)
+          val t_uwx = index.at(uw, x)
+          val t_vwx = index.at(vw, x)
+          // Pr(E_i) of each member = product of the 3 edges to its apex
+          ct(len)     = t;     ce(len)     = pux * pvx * pwx // apex x
+          ct(len + 1) = t_uvx; ce(len + 1) = puw * pvw * pwx // apex w
+          ct(len + 2) = t_uwx; ce(len + 2) = puv * pvw * pvx // apex v
+          ct(len + 3) = t_vwx; ce(len + 3) = puv * puw * pux // apex u
+          triDeg(t) += 1; triDeg(t_uvx) += 1
+          triDeg(t_uwx) += 1; triDeg(t_vwx) += 1
+          len += 4
           a += 1; b += 1; c += 1
         } else {
           val m = math.max(x, math.max(y, z))
@@ -106,8 +109,8 @@ object FourCliques {
       }
       t += 1
     }
-    val cliqueTris = ct.result()
-    val cliquePrE  = ce.result()
+    val cliqueTris = java.util.Arrays.copyOf(ct, len)
+    val cliquePrE  = java.util.Arrays.copyOf(ce, len)
     val triCliques = new Array[Array[Int]](tris.size)
     var i = 0
     while (i < tris.size) { triCliques(i) = new Array[Int](triDeg(i)); triDeg(i) = 0; i += 1 }

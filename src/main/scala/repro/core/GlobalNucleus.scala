@@ -48,8 +48,8 @@ object GlobalNucleus {
     requireSamples(nSamples)
     val cs = local.structure
     // k-alive cliques of C_k: all four member triangles have ν ≥ k
-    val kAlive = cs.cliquesWhere(local.nu(_) >= k)
-    val aliveCliquesOf: Int => Array[Int] = t => cs.triCliques(t).filter(kAlive(_))
+    val level = local.cliqueLevels
+    val aliveCliquesOf: Int => Array[Int] = t => cs.triCliques(t).filter(level(_) >= k)
 
     val inCandidate = new Array[Boolean](cs.nTriangles)
     val out         = mutable.ArrayBuffer.empty[ProbNucleus]
@@ -83,7 +83,9 @@ object GlobalNucleus {
   private def validate(local: LocalNucleus.Decomposition, candTris: Array[Int], k: Int,
                        nSamples: Int, seed: Long): Option[ProbNucleus] = {
     val (g, tris) = (local.graph, local.structure.tris)
-    val ws = new DetNucleus.WorldStructure(local.subgraph(candTris))
+    // spanned once: the candidate graph, and the reported nucleus if accepted
+    val (vs, es) = LocalNucleus.span(g, tris, candTris)()
+    val ws = new DetNucleus.WorldStructure(g.subgraph(es.toIndexedSeq))
     val h  = ws.graph
     // the candidate's triangles in h: both graphs number vertices in label order
     def hId(x: Int): Int = java.util.Arrays.binarySearch(h.labels, g.labels(x))
@@ -94,7 +96,7 @@ object GlobalNucleus {
       if (DetNucleus.isKNucleus(ws, mask, k)) ws.aliveTriangles(mask) else none
     }
     val minTail = hTris.map(counts).min.toDouble / nSamples
-    if (minTail >= local.theta) Some(nucleus(ws, k, hTris, minTail)) else None
+    if (minTail >= local.theta) Some(nucleus(g, k, vs, es, minTail)) else None
   }
 
   /** How many of n seeded worlds of `ws` credit each of its triangles:
@@ -114,10 +116,8 @@ object GlobalNucleus {
     counts
   }
 
-  /** The nucleus spanned by the triangles `triIds` of `ws`'s graph, in labels. */
-  private[core] def nucleus(ws: DetNucleus.WorldStructure, k: Int, triIds: Array[Int], minTail: Double): ProbNucleus = {
-    val h        = ws.graph
-    val (vs, es) = LocalNucleus.span(h, ws.cs, triIds)
-    ProbNucleus(k, vs.map(h.labels), es.map { case (u, v, p) => (h.labels(u), h.labels(v), p) }, minTail)
-  }
+  /** The nucleus with vertices `vs` and edges `es` of `g` (a [[LocalNucleus.span]]), in labels. */
+  private[core] def nucleus(g: ProbGraph, k: Int, vs: Array[Int], es: Array[(Int, Int, Double)],
+                            minTail: Double): ProbNucleus =
+    ProbNucleus(k, vs.map(g.labels), es.map { case (u, v, p) => (g.labels(u), g.labels(v), p) }, minTail)
 }

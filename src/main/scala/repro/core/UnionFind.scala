@@ -1,13 +1,11 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Disjoint sets over 0 until n: `find` with path compression, `union`
   * links the root of `a` under the root of `b`. Shared by the nuclei, the
   * g/w k-nucleus check and the truss/core components.
   */
 final class UnionFind(n: Int) {
-  private val parent = Array.tabulate(n)(identity)
+  private val parent = Array.range(0, n)
 
   def find(x: Int): Int = {
     var r = x
@@ -23,11 +21,31 @@ final class UnionFind(n: Int) {
   }
 
   /** The sets restricted to the elements satisfying `p`: each in increasing
-    * order, the sets ordered by their least element.
+    * order, the sets ordered by their least element. One pass numbers the
+    * roots in order of first appearance and counts each set, a second fills
+    * exact-size arrays.
     */
   def components(p: Int => Boolean): Seq[Array[Int]] = {
-    val comps = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Int]]
-    (0 until n).foreach(x => if (p(x)) comps.getOrElseUpdate(find(x), mutable.ArrayBuffer.empty) += x)
-    comps.values.map(_.toArray).toSeq
+    val setOf = new Array[Int](n) // root → 1 + its set's number, 0 if not seen yet
+    val size  = new Array[Int](n)
+    var sets = 0
+    var x = 0
+    while (x < n) {
+      if (p(x)) {
+        val r = find(x)
+        if (setOf(r) == 0) { sets += 1; setOf(r) = sets }
+        size(setOf(r) - 1) += 1
+      }
+      x += 1
+    }
+    val out = new Array[Array[Int]](sets)
+    var i = 0
+    while (i < sets) { out(i) = new Array[Int](size(i)); size(i) = 0; i += 1 }
+    x = 0
+    while (x < n) {
+      if (p(x)) { val s = setOf(find(x)) - 1; out(s)(size(s)) = x; size(s) += 1 }
+      x += 1
+    }
+    scala.collection.immutable.ArraySeq.unsafeWrapArray(out)
   }
 }

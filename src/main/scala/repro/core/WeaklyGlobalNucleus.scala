@@ -35,7 +35,10 @@ object WeaklyGlobalNucleus {
         val ms = hcs.members(c).filter(qualify(_))
         ms.foreach(uf.union(_, ms(0)))
       }
-      uf.components(qualify(_)).map(triIds => GlobalNucleus.nucleus(ws, k, triIds, triIds.map(tails).min))
+      uf.components(qualify(_)).map { triIds =>
+        val (vs, es) = LocalNucleus.span(ws.graph, hcs.tris, triIds)()
+        GlobalNucleus.nucleus(ws.graph, k, vs, es, triIds.map(tails).min)
+      }
     }
   }
 }

@@ -73,10 +73,14 @@ object PoissonBinomial {
       dp(0) = 1.0
       var i = 0
       while (i < c) {
-        val p = probs(i)
-        var k = math.min(i + 1, cap - 1)
-        while (k >= 1) { dp(k) = p * dp(k - 1) + (1 - p) * dp(k); k -= 1 }
-        dp(0) = (1 - p) * dp(0)
+        // k upwards, carrying the previous column's dp(k − 1) in `prev`:
+        // the same products and sums as the downward in-place recurrence
+        val p = probs(i); val q = 1 - p
+        var prev = dp(0)
+        dp(0) = q * prev
+        val top = math.min(i + 1, cap - 1)
+        var k = 1
+        while (k <= top) { val old = dp(k); dp(k) = p * prev + q * old; prev = old; k += 1 }
         i += 1
       }
       // best = the largest k ≤ cap with existProb·(1 − Pr[ζ < k]) ≥ θ

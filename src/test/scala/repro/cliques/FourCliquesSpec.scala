@@ -4,6 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.{GraphSql, Oracle}
 import repro.Oracle.Rows
 import repro.graph.{GraphGen, ProbGraph}
+import scala.collection.mutable.ArrayBuffer
+import scala.util.Random
 
 /** 4-clique enumeration and the (triangle, Pr(E_i)) incidence structure:
   * known-count cases, internal identities, dense ids past 2^21, and DuckDB-oracle
@@ -110,6 +112,41 @@ class FourCliquesSpec extends AnyFunSuite {
       val clique = (for { i <- 0 until 4; j <- i + 1 until 4 } yield g.prob(vs(i), vs(j))).product
       cs.members(c).foreach(m => assert(math.abs(cs.prE(c, m) * cs.tris.prob(m) - clique) < 1e-12))
     }
+  }
+
+  test("build lists the brute-force 4-cliques in order, with the same members and Pr(E_i), on random graphs with hubs") {
+    val rnd = new Random(78)
+    var wBothSides = 0 // cliques whose third vertex w has neighbours below and above it outside the clique
+    for (trial <- 1 to 20) {
+      val n    = 14 + rnd.nextInt(10)
+      val hubs = Set.fill(3)(rnd.nextInt(n))
+      val g = ProbGraph(for {
+        a <- 0 until n; b <- a + 1 until n
+        if rnd.nextDouble() < (if (hubs(a) || hubs(b)) 0.9 else 0.35)
+      } yield (a.toLong, b.toLong, 0.05 + 0.95 * rnd.nextDouble()))
+      val cs  = FourCliques.build(g)
+      val tri = (0 until cs.nTriangles).map(t => (cs.tris.u(t), cs.tris.v(t), cs.tris.w(t)) -> t).toMap
+      def p(a: Int, b: Int): Double = g.prob(a, b)
+      val ct = ArrayBuffer.empty[Int]; val ce = ArrayBuffer.empty[Double]
+      // lexicographic (u, v, w, x): the order build finds them in, from the least triangle
+      for {
+        u <- 0 until g.n; v <- u + 1 until g.n if g.hasEdge(u, v)
+        w <- v + 1 until g.n if g.hasEdge(u, w) && g.hasEdge(v, w)
+        x <- w + 1 until g.n if g.hasEdge(u, x) && g.hasEdge(v, x) && g.hasEdge(w, x)
+      } {
+        ct ++= Seq(tri((u, v, w)), tri((u, v, x)), tri((u, w, x)), tri((v, w, x)))
+        ce ++= Seq(p(u, x) * p(v, x) * p(w, x), p(u, w) * p(v, w) * p(w, x),
+                   p(u, v) * p(v, w) * p(v, x), p(u, v) * p(u, w) * p(u, x))
+        val nw = g.neighbors(w).filterNot(Set(u, v, x))
+        if (nw.exists(_ < w) && nw.exists(_ > w)) wBothSides += 1
+      }
+      assert(cs.cliqueTris.sameElements(ct), s"trial $trial: members")
+      assert(cs.cliquePrE.sameElements(ce), s"trial $trial: Pr(E_i)")
+      (0 until cs.nTriangles).foreach { t =>
+        assert(cs.triCliques(t).sameElements((0 until cs.nCliques).filter(cs.members(_).contains(t))), s"trial $trial: triangle $t")
+      }
+    }
+    assert(wBothSides > 0, "no clique's w had neighbours on both sides")
   }
 
   test("planted 6-clique yields expected counts in sparse background") {

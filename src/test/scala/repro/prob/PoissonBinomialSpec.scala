@@ -120,6 +120,20 @@ class PoissonBinomialSpec extends AnyFunSuite {
         s"${probs.mkString(",")} θ=$th existProb=$ex")
   }
 
+  test("kappaFast equals ReferenceKappa on every ℓ scorer call of the six Table 1/2 stand-ins (initial rows and rescorings)") {
+    var calls = 0L
+    for (ds <- GraphGen.paperDatasets) {
+      val in = LocalNucleus.kernelInput(FourCliques.build(GraphGen.dataset(ds)))
+      for (theta <- Seq(0.1, 0.2, 0.3)) ProbPeeling.peel(in, theta, (ex, probs, th) => {
+        val k = PoissonBinomial.kappaFast(ex, probs, th)
+        calls += 1
+        assert(k == ReferenceKappa.kappa(ex, probs, th), s"$ds θ=$th c=${probs.length}")
+        k
+      })
+    }
+    assert(calls > 0)
+  }
+
   test("kappaFast at θ = 0 is c, and its cap seed is c") {
     val rnd = new Random(9)
     for (_ <- 1 to 200) {
