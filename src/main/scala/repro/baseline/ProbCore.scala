@@ -20,8 +20,25 @@ object ProbCore {
     /** Connected components of the subgraph induced by vertices with core
       * number ≥ k (the (k,η)-cores).
       */
-    def coresAt(k: Int): Seq[ProbGraph] =
-      components(graph, graph.edges.filter { case (u, v, _) => coreNumber(u) >= k && coreNumber(v) >= k })
+    def coresAt(k: Int): Seq[ProbGraph] = components(graph, keptEdges(k))
+
+    /** The edges of `graph.edges`, in its order, whose ends both have core number ≥ k. */
+    private[baseline] def keptEdges(k: Int): Array[(Int, Int, Double)] = {
+      val kept = Array.newBuilder[(Int, Int, Double)]
+      var u = 0
+      while (u < graph.n) {
+        if (coreNumber(u) >= k) {
+          var i = graph.offsets(u)
+          while (i < graph.offsets(u + 1)) {
+            val v = graph.adj(i)
+            if (u < v && coreNumber(v) >= k) kept += ((u, v, graph.adjProb(i)))
+            i += 1
+          }
+        }
+        u += 1
+      }
+      kept.result()
+    }
   }
 
   def decompose(g: ProbGraph, eta: Double): Decomposition =
@@ -31,15 +48,18 @@ object ProbCore {
     * the edges at arity 2 with Pr(E) = (p, p).
     */
   def kernelInput(g: ProbGraph): ProbPeeling.Input = {
-    val edges = g.edges
-    val ends  = new Array[Int](2 * edges.length)
-    val prE   = new Array[Double](2 * edges.length)
-    var i = 0
-    while (i < edges.length) {
-      val (u, v, p) = edges(i)
-      ends(2 * i) = u; ends(2 * i + 1) = v
-      prE(2 * i) = p; prE(2 * i + 1) = p
-      i += 1
+    // one group per edge (u, v), u < v, in `g.edges` order: the CSR rows' upper halves
+    val ends = new Array[Int](2 * g.m)
+    val prE  = new Array[Double](2 * g.m)
+    var e = 0; var u = 0
+    while (u < g.n) {
+      var i = g.offsets(u)
+      while (i < g.offsets(u + 1)) {
+        val v = g.adj(i)
+        if (u < v) { ends(e) = u; ends(e + 1) = v; prE(e) = g.adjProb(i); prE(e + 1) = g.adjProb(i); e += 2 }
+        i += 1
+      }
+      u += 1
     }
     ProbPeeling.Input.ofGroups(Array.fill(g.n)(1.0), 2, ends, prE)
   }

@@ -32,13 +32,6 @@ object FourCliques {
     def members(c: Int): Array[Int] =
       java.util.Arrays.copyOfRange(cliqueTris, 4 * c, 4 * c + 4)
 
-    /** Pr(E_i) of triangle `tid` inside clique `c` (must be a member). */
-    def prE(c: Int, tid: Int): Double = {
-      var i = 4 * c
-      while (i < 4 * c + 4) { if (cliqueTris(i) == tid) return cliquePrE(i); i += 1 }
-      throw new NoSuchElementException(s"triangle $tid not in clique $c")
-    }
-
     /** The cliques whose four member triangles all satisfy `p`. */
     def cliquesWhere(p: Int => Boolean): Array[Boolean] = {
       val out = new Array[Boolean](nCliques)
@@ -49,65 +42,74 @@ object FourCliques {
       }
       out
     }
-
-    /** 4-clique support (number of 4-cliques containing each triangle). */
-    def support(tid: Int): Int = triCliques(tid).length
   }
 
   /** Largest clique count the flat 4-per-clique `Int` index can hold. */
   val MaxCliques: Int = Int.MaxValue / 4
 
-  /** Build the incidence structure for g. */
+  /** Build the incidence structure for g. Each 4-clique {u,v,w,x} with
+    * u<v<w<x is found once, from its least triangle (u, v, w), in
+    * lexicographic order. The triangles (u, v, ·) are one block of the
+    * listing; for each block, marks give every vertex x above v its slot in
+    * rows u and v and, for x in the block, the id of (u, v, x). A triangle
+    * (u, v, w) then scans w's neighbours above w, and an x whose block id is
+    * above (u, v, w)'s closes a clique. Block ids only grow, so marks left by
+    * earlier blocks never pass and are never cleared.
+    */
   def build(g: ProbGraph): CliqueStructure = {
     val tris  = Triangles.enumerate(g)
     val index = new Triangles.Index(g, tris)
+    val up    = Triangles.upperStarts(g)
+    val uSlot = new Array[Int](g.n)     // x's slot in row u, for x above u
+    val vSlot = new Array[Int](g.n)     // x's slot in row v, for x above v
+    val block = Array.fill(g.n)(-1)     // id of triangle (u, v, x), for x in the block
     // 4 entries per clique, grown by doubling; the length stays a multiple of 4
     var ct = new Array[Int](64)
     var ce = new Array[Double](64)
     var len = 0
     val triDeg = new Array[Int](tris.size)
+    var marked = -1 // the u whose row uSlot holds
     var t = 0
     while (t < tris.size) {
-      val u = tris.u(t); val v = tris.v(t); val w = tris.w(t)
-      // the base edges' slots find the clique's other triangles and give their probabilities
-      val uv = g.slot(u, v); val uw = g.slot(u, w); val vw = g.slot(v, w)
-      val puv = g.adjProb(uv); val puw = g.adjProb(uw); val pvw = g.adjProb(vw)
-      // 3-way sorted intersection of adj(u), adj(v), adj(w) above w: each
-      // 4-clique {u,v,w,x} with u<v<w<x is found exactly once, from its
-      // lexicographically-least triangle. Rows u and v hold w at slots uw
-      // and vw; w's own row starts above w at its insertion point.
-      var a = uw + 1; var b = vw + 1
-      var c = -1 - java.util.Arrays.binarySearch(g.adj, g.offsets(w), g.offsets(w + 1), w)
-      val aE = g.offsets(u + 1); val bE = g.offsets(v + 1); val cE = g.offsets(w + 1)
-      while (a < aE && b < bE && c < cE) {
-        val x = g.adj(a); val y = g.adj(b); val z = g.adj(c)
-        if (x == y && y == z) {
-          require(len / 4 < MaxCliques, s"more than $MaxCliques 4-cliques overflow the flat clique index")
-          if (len == ct.length) {
-            val grown = math.min(2L * len, 4L * MaxCliques).toInt
-            ct = java.util.Arrays.copyOf(ct, grown); ce = java.util.Arrays.copyOf(ce, grown)
+      val u = tris.u(t); val v = tris.v(t)
+      var end = t + 1
+      while (end < tris.size && tris.v(end) == v && tris.u(end) == u) end += 1
+      if (end - t < 2) t = end // a clique needs two triangles (u, v, ·)
+      else {
+        if (marked != u) { Triangles.mark(g, uSlot, up(u), u); marked = u }
+        Triangles.mark(g, vSlot, up(v), v)
+        var b = t
+        while (b < end) { block(tris.w(b)) = b; b += 1 }
+        val puv = g.adjProb(uSlot(v))
+        while (t < end) {
+          val w  = tris.w(t)
+          val uw = uSlot(w); val vw = vSlot(w)
+          val puw = g.adjProb(uw); val pvw = g.adjProb(vw)
+          var c = up(w); val cE = g.offsets(w + 1)
+          while (c < cE) {
+            val x = g.adj(c); val t_uvx = block(x)
+            if (t_uvx > t) {
+              if (len == ct.length) {
+                val cap = Triangles.grownCapacity(len, 4 * MaxCliques, s"4-cliques (4 entries each, at most $MaxCliques)")
+                ct = java.util.Arrays.copyOf(ct, cap); ce = java.util.Arrays.copyOf(ce, cap)
+              }
+              val pux = g.adjProb(uSlot(x)); val pvx = g.adjProb(vSlot(x)); val pwx = g.adjProb(c)
+              val t_uwx = index.at(uw, x)
+              val t_vwx = index.at(vw, x)
+              // Pr(E_i) of each member = product of the 3 edges to its apex
+              ct(len)     = t;     ce(len)     = pux * pvx * pwx // apex x
+              ct(len + 1) = t_uvx; ce(len + 1) = puw * pvw * pwx // apex w
+              ct(len + 2) = t_uwx; ce(len + 2) = puv * pvw * pvx // apex v
+              ct(len + 3) = t_vwx; ce(len + 3) = puv * puw * pux // apex u
+              triDeg(t) += 1; triDeg(t_uvx) += 1
+              triDeg(t_uwx) += 1; triDeg(t_vwx) += 1
+              len += 4
+            }
+            c += 1
           }
-          val pux = g.adjProb(a); val pvx = g.adjProb(b); val pwx = g.adjProb(c)
-          val t_uvx = index.at(uv, x)
-          val t_uwx = index.at(uw, x)
-          val t_vwx = index.at(vw, x)
-          // Pr(E_i) of each member = product of the 3 edges to its apex
-          ct(len)     = t;     ce(len)     = pux * pvx * pwx // apex x
-          ct(len + 1) = t_uvx; ce(len + 1) = puw * pvw * pwx // apex w
-          ct(len + 2) = t_uwx; ce(len + 2) = puv * pvw * pvx // apex v
-          ct(len + 3) = t_vwx; ce(len + 3) = puv * puw * pux // apex u
-          triDeg(t) += 1; triDeg(t_uvx) += 1
-          triDeg(t_uwx) += 1; triDeg(t_vwx) += 1
-          len += 4
-          a += 1; b += 1; c += 1
-        } else {
-          val m = math.max(x, math.max(y, z))
-          if (x < m) a += 1
-          if (y < m) b += 1
-          if (z < m) c += 1
+          t += 1
         }
       }
-      t += 1
     }
     val cliqueTris = java.util.Arrays.copyOf(ct, len)
     val cliquePrE  = java.util.Arrays.copyOf(ce, len)

@@ -2,8 +2,8 @@ package repro.cliques
 
 import repro.graph.ProbGraph
 
-/** Triangle enumeration: merge-intersections over the CSR adjacency
-  * (u < v < w, once each).
+/** Triangle enumeration: forward listing over the CSR adjacency with vertex
+  * marks (u < v < w, once each).
   */
 object Triangles {
 
@@ -15,37 +15,69 @@ object Triangles {
     def size: Int = u.length
   }
 
-  /** Enumerate all triangles of g, each exactly once with u < v < w. */
+  /** Enumerate all triangles of g, each exactly once with u < v < w, in
+    * lexicographic order. For each u, its neighbours x above u are marked
+    * with their slot in row u; each v above u then scans only its own
+    * neighbours above v, and a marked x is the triangle (u, v, x). A mark is
+    * a slot of row u, so marks left by earlier vertices (slots of earlier
+    * rows) never pass for u's and are never cleared.
+    */
   def enumerate(g: ProbGraph): TriangleList = {
-    val bu = Array.newBuilder[Int]; val bv = Array.newBuilder[Int]
-    val bw = Array.newBuilder[Int]; val bp = Array.newBuilder[Double]
+    val up   = upperStarts(g)
+    val slot = Array.fill(g.n)(-1) // x's slot in the row of the last u that marked it
+    var tu = new Array[Int](64); var tv = new Array[Int](64)
+    var tw = new Array[Int](64); var tp = new Array[Double](64)
+    var len = 0
     var u = 0
     while (u < g.n) {
-      var i = g.offsets(u)
-      while (i < g.offsets(u + 1)) {
-        val v = g.adj(i)
-        if (u < v) {
-          val puv = g.adjProb(i)
-          // intersect adj(u) and adj(v), keeping w > v
-          var a = g.offsets(u); var b = g.offsets(v)
-          val aEnd = g.offsets(u + 1); val bEnd = g.offsets(v + 1)
-          while (a < aEnd && b < bEnd) {
-            val x = g.adj(a); val y = g.adj(b)
-            if (x == y) {
-              if (x > v) {
-                bu += u; bv += v; bw += x
-                bp += puv * g.adjProb(a) * g.adjProb(b)
-              }
-              a += 1; b += 1
-            } else if (x < y) a += 1
-            else b += 1
+      val lo = up(u); val hi = g.offsets(u + 1)
+      mark(g, slot, lo, u)
+      var i = lo
+      while (i < hi) {
+        val v = g.adj(i); val puv = g.adjProb(i)
+        var j = up(v); val jEnd = g.offsets(v + 1)
+        while (j < jEnd) {
+          val x = g.adj(j); val ux = slot(x)
+          if (ux >= lo) {
+            if (len == tu.length) {
+              val cap = grownCapacity(len, Int.MaxValue, "triangles")
+              tu = java.util.Arrays.copyOf(tu, cap); tv = java.util.Arrays.copyOf(tv, cap)
+              tw = java.util.Arrays.copyOf(tw, cap); tp = java.util.Arrays.copyOf(tp, cap)
+            }
+            tu(len) = u; tv(len) = v; tw(len) = x
+            tp(len) = puv * g.adjProb(ux) * g.adjProb(j)
+            len += 1
           }
+          j += 1
         }
         i += 1
       }
       u += 1
     }
-    TriangleList(bu.result(), bv.result(), bw.result(), bp.result())
+    TriangleList(java.util.Arrays.copyOf(tu, len), java.util.Arrays.copyOf(tv, len),
+                 java.util.Arrays.copyOf(tw, len), java.util.Arrays.copyOf(tp, len))
+  }
+
+  /** Marks each neighbour x of `v` from row slot `from` on with its slot. */
+  private[cliques] def mark(g: ProbGraph, slot: Array[Int], from: Int, v: Int): Unit = {
+    var i = from
+    while (i < g.offsets(v + 1)) { slot(g.adj(i)) = i; i += 1 }
+  }
+
+  /** Per vertex v, the first slot of row v whose neighbour is above v. */
+  private[cliques] def upperStarts(g: ProbGraph): Array[Int] = {
+    val up = new Array[Int](g.n)
+    var v = 0
+    while (v < g.n) { up(v) = -1 - java.util.Arrays.binarySearch(g.adj, g.offsets(v), g.offsets(v + 1), v); v += 1 }
+    up
+  }
+
+  /** The capacity a full flat array of `len` entries doubles to, at most
+    * `max`; fails loudly once `max` entries are full instead of wrapping.
+    */
+  private[cliques] def grownCapacity(len: Int, max: Int, what: String): Int = {
+    require(len < max, s"$what: more than $max entries overflow a flat Int-indexed array")
+    math.min(2L * len, max.toLong).toInt
   }
 
   /** Flat, 3 per triangle: the indices in `g.edges` of its edges (u,v), (u,w), (v,w). */
@@ -67,7 +99,17 @@ object Triangles {
     */
   final class Index(g: ProbGraph, tris: TriangleList) {
     private val start = new Array[Int](g.adj.length + 1) // slot s: positions start(s) until start(s + 1)
-    for (t <- 0 until tris.size) start(g.slot(tris.u(t), tris.v(t)) + 1) += 1
+    locally {
+      // in lexicographic order the slots of the (u, v) edges never go down: one walk over the CSR finds them
+      var s = 0; var t = 0
+      while (t < tris.size) {
+        val v = tris.v(t); val end = g.offsets(tris.u(t) + 1)
+        s = math.max(s, g.offsets(tris.u(t)))
+        while (s < end && g.adj(s) != v) s += 1
+        require(s < end, s"triangle $t is out of lexicographic order or not in g")
+        start(s + 1) += 1; t += 1
+      }
+    }
     for (s <- 0 until g.adj.length) start(s + 1) += start(s)
 
     /** Id of triangle (u, v, w) with u < v < w, where `slot` = `g.slot(u, v)`; negative if absent. */

@@ -1,7 +1,7 @@
 package repro.baseline
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.ProbGraph
+import repro.graph.{GraphGen, ProbGraph}
 import repro.prob.PoissonBinomial
 import scala.util.Random
 
@@ -82,5 +82,24 @@ class ProbCoreSpec extends AnyFunSuite {
     val g   = ProbGraph(Seq((0L, 1L, 0.2), (1L, 2L, 0.2)))
     val dec = ProbCore.decompose(g, eta = 0.9)
     assert(dec.coreNumber.forall(_ == 0))
+  }
+
+  test("kernelInput and the kept edges of coresAt equal the edge-tuple arrays on the 9 stand-ins") {
+    def bits(xs: Array[Double]): Array[Long] = xs.map(java.lang.Double.doubleToRawLongBits)
+    for (ds <- GraphGen.paperDatasets ++ Seq("pokec_Normal", "pokec_Pareto", "enwiki")) {
+      val g     = GraphGen.dataset(ds)
+      val edges = g.edges
+      val ends: Array[Int]   = edges.flatMap(e => Array(e._1, e._2))
+      val prE: Array[Double] = edges.flatMap(e => Array(e._3, e._3))
+      val in = ProbCore.kernelInput(g)
+      assert(in.itemProb.sameElements(Array.fill(g.n)(1.0)), s"$ds: itemProb")
+      assert(in.groupItems.flatten.sameElements(ends), s"$ds: ends")
+      assert(bits(in.groupPrE.flatten).sameElements(bits(prE)), s"$ds: prE")
+      val dec = ProbCore.decompose(g, 0.2)
+      for (k <- 0 to dec.kMax + 1) {
+        val want = edges.filter { case (u, v, _) => dec.coreNumber(u) >= k && dec.coreNumber(v) >= k }
+        assert(dec.keptEdges(k).sameElements(want), s"$ds: kept edges at k = $k")
+      }
+    }
   }
 }

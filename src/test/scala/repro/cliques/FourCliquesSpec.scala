@@ -3,6 +3,7 @@ package repro.cliques
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{GraphSql, Oracle}
 import repro.Oracle.Rows
+import repro.cliques.Incidence._
 import repro.graph.{GraphGen, ProbGraph}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random

@@ -48,6 +48,14 @@ class TrianglesSpec extends AnyFunSuite {
     }
   }
 
+  test("Index rejects triangles out of lexicographic order") {
+    val g    = GraphGen.graph(GraphGen.Spec(30, 90, Seq(6, 5), GraphGen.UniformDist(), seed = 4))
+    val tris = Triangles.enumerate(g)
+    assert(tris.size > 1)
+    val reversed = Triangles.TriangleList(tris.u.reverse, tris.v.reverse, tris.w.reverse, tris.prob.reverse)
+    intercept[IllegalArgumentException](new Triangles.Index(g, reversed))
+  }
+
   /** The enumerated triangles by label, with their edge probabilities. */
   private def triangleRows(g: ProbGraph): Rows = {
     val t = Triangles.enumerate(g)

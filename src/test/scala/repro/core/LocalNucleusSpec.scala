@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cliques.FourCliques
+import repro.cliques.Incidence._
 import repro.graph.{GraphGen, ProbGraph}
 import repro.prob.{BruteForce, PoissonBinomial}
 import scala.util.Random

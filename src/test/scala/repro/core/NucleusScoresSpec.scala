@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{GraphSql, Oracle}
 import repro.cliques.FourCliques
+import repro.cliques.Incidence._
 import repro.graph.{GraphGen, ProbGraph}
 
 /** Initial nucleus scores κ (Algorithm 1, line 3) against the DuckDB
