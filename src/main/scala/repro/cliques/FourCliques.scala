@@ -31,17 +31,6 @@ object FourCliques {
     /** Member triangle ids of clique c. */
     def members(c: Int): Array[Int] =
       java.util.Arrays.copyOfRange(cliqueTris, 4 * c, 4 * c + 4)
-
-    /** The cliques whose four member triangles all satisfy `p`. */
-    def cliquesWhere(p: Int => Boolean): Array[Boolean] = {
-      val out = new Array[Boolean](nCliques)
-      var c = 0
-      while (c < nCliques) {
-        out(c) = p(cliqueTris(4 * c)) && p(cliqueTris(4 * c + 1)) && p(cliqueTris(4 * c + 2)) && p(cliqueTris(4 * c + 3))
-        c += 1
-      }
-      out
-    }
   }
 
   /** Largest clique count the flat 4-per-clique `Int` index can hold. */

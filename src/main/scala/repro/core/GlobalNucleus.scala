@@ -2,9 +2,8 @@ package repro.core
 
 import repro.cliques.Triangles
 import repro.graph.ProbGraph
-import repro.prob.Sampler
+import repro.prob.{Sampler, WorldRng}
 import scala.collection.mutable
-import scala.util.Random
 
 /** g-NuDecomp (Section 6, Algorithm 2): approximate global nucleus
   * decomposition. Candidates are grown inside the union C_k of the
@@ -46,13 +45,20 @@ object GlobalNucleus {
   def decomposeAt(local: LocalNucleus.Decomposition, k: Int,
                   nSamples: Int, seed: Long): Seq[ProbNucleus] = {
     requireSamples(nSamples)
+    candidates(local, k).flatMap { case (t, candTris) => validate(local, candTris, k, nSamples, seed + t) }
+  }
+
+  /** The level-k candidates, each with the triangle `t` it was grown from
+    * (its Monte-Carlo seed offset) and its triangles.
+    */
+  private[core] def candidates(local: LocalNucleus.Decomposition, k: Int): Seq[(Int, Array[Int])] = {
     val cs = local.structure
     // k-alive cliques of C_k: all four member triangles have ν ≥ k
     val level = local.cliqueLevels
     val aliveCliquesOf: Int => Array[Int] = t => cs.triCliques(t).filter(level(_) >= k)
 
     val inCandidate = new Array[Boolean](cs.nTriangles)
-    val out         = mutable.ArrayBuffer.empty[ProbNucleus]
+    val out         = mutable.ArrayBuffer.empty[(Int, Array[Int])]
     var t = 0
     while (t < cs.nTriangles) {
       if (!inCandidate(t) && local.nu(t) >= k && aliveCliquesOf(t).nonEmpty) {
@@ -72,7 +78,7 @@ object GlobalNucleus {
         }
         val candTris = triCount.keysIterator.toArray
         candTris.foreach(inCandidate(_) = true)
-        out ++= validate(local, candTris, k, nSamples, seed + t)
+        out += ((t, candTris))
       }
       t += 1
     }
@@ -91,24 +97,31 @@ object GlobalNucleus {
     def hId(x: Int): Int = java.util.Arrays.binarySearch(h.labels, g.labels(x))
     val index = new Triangles.Index(h, ws.cs.tris)
     val hTris = candTris.map(t => index.at(h.slot(hId(tris.u(t)), hId(tris.v(t))), hId(tris.w(t))))
-    val none  = new Array[Boolean](ws.cs.nTriangles)
-    val counts = worldCounts(ws, nSamples, seed) { mask =>
-      if (DetNucleus.isKNucleus(ws, mask, k)) ws.aliveTriangles(mask) else none
-    }
+    val counts = globalCounts(ws, k, nSamples, seed)
     val minTail = hTris.map(counts).min.toDouble / nSamples
     if (minTail >= local.theta) Some(nucleus(g, k, vs, es, minTail)) else None
   }
 
+  /** g's success count per triangle of `ws` over n seeded worlds (the MC
+    * indicator 1_g): a world that is a k-nucleus credits all its triangles.
+    */
+  private[core] def globalCounts(ws: DetNucleus.WorldStructure, k: Int, nSamples: Int, seed: Long): Array[Int] = {
+    val none = new Array[Boolean](ws.cs.nTriangles)
+    worldCounts(ws, nSamples, seed)(mask => if (DetNucleus.isKNucleus(ws, mask, k)) ws.alive else none)
+  }
+
   /** How many of n seeded worlds of `ws` credit each of its triangles:
-    * `credited` maps a world's edge mask to its credited triangles.
+    * `credited` maps a world's edge mask to its credited triangles. The one
+    * [[WorldRng]] loop: every world is drawn into `ws.mask`, and `credited`
+    * may return one of `ws`'s buffers.
     */
   private[core] def worldCounts(ws: DetNucleus.WorldStructure, nSamples: Int, seed: Long)
                                (credited: Array[Boolean] => Array[Boolean]): Array[Int] = {
     val counts = new Array[Int](ws.cs.nTriangles)
-    val rnd    = new Random(seed)
+    val rng    = new WorldRng(seed)
     var s = 0
     while (s < nSamples) {
-      val hit = credited(Sampler.sampleMask(ws.edges, rnd))
+      val hit = credited(Sampler.sampleMask(ws.probs, rng, ws.mask))
       var t = 0
       while (t < counts.length) { if (hit(t)) counts(t) += 1; t += 1 }
       s += 1

@@ -1,13 +1,13 @@
 package repro.prob
 
 import repro.graph.ProbGraph
-import scala.util.Random
 
 /** Possible-world sampling (Section 6).
   *
   * A sampled world keeps each edge independently with its probability; per
   * the paper's space note a world is a bit per edge over the canonical edge
-  * list. g and w evaluate these masks over their candidate's structure
+  * list. Every world is drawn by [[sampleMask]] from a [[WorldRng]]. g and w
+  * evaluate these masks over their candidate's structure
   * (`DetNucleus.WorldStructure`); [[worldGraph]] expands a mask to a
   * deterministic [[ProbGraph]] (all probabilities 1) for the brute-force
   * oracle and the reference checks.
@@ -25,9 +25,14 @@ object Sampler {
     n.toInt
   }
 
-  /** One world of `g` as a boolean mask over `g.edges` order. */
-  def sampleMask(edges: Array[(Int, Int, Double)], rnd: Random): Array[Boolean] =
-    edges.map { case (_, _, p) => rnd.nextDouble() < p }
+  /** Fill `mask` with the next world of `rng`: edge i is present iff its
+    * draw is below `probs(i)`, one draw per edge in order. Returns `mask`.
+    */
+  def sampleMask(probs: Array[Double], rng: WorldRng, mask: Array[Boolean]): Array[Boolean] = {
+    var i = 0
+    while (i < probs.length) { mask(i) = rng.nextDouble() < probs(i); i += 1 }
+    mask
+  }
 
   /** Expand a mask to a deterministic graph (p ≡ 1) on the present edges.
     * Vertex labels are preserved through `labels` of the source graph.
@@ -37,8 +42,9 @@ object Sampler {
 
   /** Sample n worlds of g as deterministic graphs, deterministic in seed. */
   def sampleWorlds(g: ProbGraph, n: Int, seed: Long): IndexedSeq[ProbGraph] = {
-    val rnd   = new Random(seed)
+    val rng   = new WorldRng(seed)
     val edges = g.edges
-    (0 until n).map(_ => worldGraph(g, edges, sampleMask(edges, rnd)))
+    val probs = edges.map(_._3)
+    (0 until n).map(_ => worldGraph(g, edges, sampleMask(probs, rng, new Array[Boolean](edges.length))))
   }
 }

@@ -1,7 +1,8 @@
 package repro.cliques
 
 /** Reads of a [[FourCliques.CliqueStructure]] that only tests make: one
-  * member's Pr(E_i) inside a clique, and a triangle's 4-clique support.
+  * member's Pr(E_i) inside a clique, a triangle's 4-clique support, and the
+  * cliques whose members all satisfy a predicate.
   */
 object Incidence {
 
@@ -16,5 +17,16 @@ object Incidence {
 
     /** 4-clique support: the number of 4-cliques containing triangle `tid`. */
     def support(tid: Int): Int = cs.triCliques(tid).length
+
+    /** The cliques whose four member triangles all satisfy `p`. */
+    def cliquesWhere(p: Int => Boolean): Array[Boolean] = {
+      val out = new Array[Boolean](cs.nCliques)
+      var c = 0
+      while (c < cs.nCliques) {
+        out(c) = p(cs.cliqueTris(4 * c)) && p(cs.cliqueTris(4 * c + 1)) && p(cs.cliqueTris(4 * c + 2)) && p(cs.cliqueTris(4 * c + 3))
+        c += 1
+      }
+      out
+    }
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.ProbGraph
-import repro.prob.Sampler
+import repro.prob.{Sampler, WorldRng}
 import scala.util.Random
 
 /** Deterministic (3,4)-nucleus decomposition, the k-nucleus predicate, and
@@ -102,6 +102,7 @@ class DetNucleusSpec extends AnyFunSuite {
 
   test("mask path agrees with rebuilding each world: g predicate and level-k survivors") {
     val rnd = new Random(2022)
+    val rng = new WorldRng(2022)
     var nuclei = 0; var survivors = 0
     for (_ <- 1 to 20) {
       val nv = 6 + rnd.nextInt(3)
@@ -109,7 +110,7 @@ class DetNucleusSpec extends AnyFunSuite {
         yield (a.toLong, b.toLong, 0.5 + 0.5 * rnd.nextDouble())
       val ws = new DetNucleus.WorldStructure(ProbGraph(es))
       for (_ <- 1 to 10) {
-        val mask     = Sampler.sampleMask(ws.edges, rnd)
+        val mask     = Sampler.sampleMask(ws.probs, rng, new Array[Boolean](ws.edges.length))
         val world    = Sampler.worldGraph(ws.graph, ws.edges, mask)
         val (cs, nu) = DetNucleus.decompose(world)
         for (k <- 0 to 3) {

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.cliques.FourCliques.CliqueStructure
+import repro.cliques.Incidence._
 import repro.core.LocalNucleus.{Decomposition, Nucleus}
 import repro.graph.ProbGraph
 import scala.collection.mutable

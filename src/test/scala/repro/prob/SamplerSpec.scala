@@ -35,13 +35,32 @@ class SamplerSpec extends AnyFunSuite {
     assert(a != c || a.sum == 60) // different seed differs unless saturated
   }
 
+  test("sampleMask and sampleWorlds draw java.util.Random(seed)'s stream, one double per edge in order") {
+    val big   = ProbGraph(for { a <- 0 until 7; b <- a + 1 until 7 } yield (a.toLong, b.toLong, (a + b + 1) / 13.0))
+    val edges = big.edges
+    val rnd   = new Random(77)
+    val rng   = new WorldRng(77)
+    val mask  = new Array[Boolean](edges.length)
+    val masks = for (_ <- 1 to 50) yield {
+      val want = edges.map { case (_, _, p) => rnd.nextDouble() < p }
+      assert(Sampler.sampleMask(edges.map(_._3), rng, mask) eq mask)
+      assert(mask.sameElements(want))
+      want
+    }
+    val worlds = Sampler.sampleWorlds(big, 50, seed = 77)
+    worlds.zip(masks).foreach { case (w, m) =>
+      assert(w.edges.sameElements(Sampler.worldGraph(big, edges, m).edges))
+    }
+  }
+
   test("certain edges always appear; per-edge frequency tracks probability") {
     val edges  = g.edges
-    val rnd    = new Random(42)
+    val probs  = edges.map(_._3)
+    val rng    = new WorldRng(42)
     val n      = 4000
     val counts = new Array[Int](edges.length)
     for (_ <- 1 to n) {
-      val mask = Sampler.sampleMask(edges, rnd)
+      val mask = Sampler.sampleMask(probs, rng, new Array[Boolean](edges.length))
       mask.zipWithIndex.foreach { case (b, i) => if (b) counts(i) += 1 }
     }
     edges.zipWithIndex.foreach { case ((_, _, p), i) =>
