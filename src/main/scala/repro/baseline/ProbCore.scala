@@ -70,6 +70,6 @@ object ProbCore {
   private[baseline] def components(g: ProbGraph, kept: Array[(Int, Int, Double)]): Seq[ProbGraph] = {
     val uf = new UnionFind(g.n)
     kept.foreach { case (u, v, _) => uf.union(u, v) }
-    kept.groupBy { case (u, _, _) => uf.find(u) }.values.toSeq.map(es => g.subgraph(es.toIndexedSeq))
+    kept.groupBy { case (u, _, _) => uf.find(u) }.values.toSeq.map(es => g.subgraph(es))
   }
 }

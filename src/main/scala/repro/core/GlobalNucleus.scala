@@ -28,7 +28,7 @@ object GlobalNucleus {
       /** estimated min-over-triangles tail probability (Eq. 17) */
       minTail: Double
   ) {
-    def toGraph: ProbGraph = ProbGraph(edges.toIndexedSeq)
+    def toGraph: ProbGraph = ProbGraph(scala.collection.immutable.ArraySeq.unsafeWrapArray(edges))
   }
 
   /** All g-(k,θ)-nuclei for k = 1..kMax of the local decomposition. */
@@ -91,7 +91,7 @@ object GlobalNucleus {
     val (g, tris) = (local.graph, local.structure.tris)
     // spanned once: the candidate graph, and the reported nucleus if accepted
     val (vs, es) = LocalNucleus.span(g, tris, candTris)()
-    val ws = new DetNucleus.WorldStructure(g.subgraph(es.toIndexedSeq))
+    val ws = new DetNucleus.WorldStructure(g.subgraph(es))
     val h  = ws.graph
     // the candidate's triangles in h: both graphs number vertices in label order
     def hId(x: Int): Int = java.util.Arrays.binarySearch(h.labels, g.labels(x))

@@ -70,7 +70,7 @@ object LocalNucleus {
     /** The graph spanned by the triangles `triIds` (the edges of [[span]]),
       * with `graph`'s labels: an ℓ-nucleus's graph (Table 4).
       */
-    def subgraph(triIds: Array[Int]): ProbGraph = graph.subgraph(span(graph, structure.tris, triIds)()._2.toIndexedSeq)
+    def subgraph(triIds: Array[Int]): ProbGraph = graph.subgraph(span(graph, structure.tris, triIds)()._2)
   }
 
   def scorer(mode: Mode): ProbPeeling.Scorer = mode match {

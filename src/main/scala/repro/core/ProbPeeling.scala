@@ -25,7 +25,11 @@ package repro.core
   */
 object ProbPeeling {
 
-  /** κ-scorer: (itemExistProb, alive group probabilities, θ) → κ ∈ [-1, c]. */
+  /** κ-scorer: (itemExistProb, alive group probabilities, θ) → κ ∈ [-1, c].
+    * The probabilities come as an exact-length array in group order that is
+    * valid only during the call: `peel` refills it for later calls, so a
+    * scorer must not keep it (copy what it needs).
+    */
   type Scorer = (Double, Array[Double], Double) => Int
 
   /** The item/group hypergraph. Arrays `groupItems(g)` and `groupPrE(g)`
@@ -91,8 +95,9 @@ object ProbPeeling {
   /** Run the peeling to completion. O(Σ κ·c) rescoring cost with a bucket
     * queue and lazy deletion, matching the paper's complexity analysis
     * (Batagelj–Zaveršnik bucket peeling). The bookkeeping is O(1) per queue
-    * entry, a copy of the alive row per scorer call, and a binary search plus
-    * an O(row) memmove per (dead group, surviving member).
+    * entry, a copy of the alive row into a reused buffer of its length per
+    * scorer call, and a binary search plus an O(row) memmove per (dead
+    * group, surviving member).
     *
     * The item→(group, Pr(E)) incidences are derived from `groupItems` as a
     * CSR (`off`, `eGroup`, `ePrE`) with each item's row in increasing group
@@ -154,9 +159,19 @@ object ProbPeeling {
     val nu        = new Array[Int](n)
     val order     = new Array[Int](n)
 
-    /** The item's Pr(E) over its alive groups, in group order. */
-    def aliveRow(item: Int): Array[Double] =
-      java.util.Arrays.copyOfRange(ePrE, off(item), off(item) + aliveCnt(item))
+    // one scorer buffer per row length c, allocated at its first use
+    var maxRow = 0
+    i = 0
+    while (i < n) { maxRow = math.max(maxRow, aliveCnt(i)); i += 1 }
+    val rows = new Array[Array[Double]](maxRow + 1)
+
+    /** The item's Pr(E) over its alive groups, in group order, in the buffer of its length. */
+    def aliveRow(item: Int): Array[Double] = {
+      val c = aliveCnt(item)
+      if (rows(c) == null) rows(c) = new Array[Double](c)
+      System.arraycopy(ePrE, off(item), rows(c), 0, c)
+      rows(c)
+    }
 
     var maxK = 0
     i = 0

@@ -1,8 +1,9 @@
 package repro.core
 
 /** Disjoint sets over 0 until n: `find` with path compression, `union`
-  * links the root of `a` under the root of `b`. Shared by the nuclei, the
-  * g/w k-nucleus check and the truss/core components.
+  * links the root of `a` under the root of `b`. Shared by the ℓ-nuclei
+  * sweep, w's grouping of qualifying triangles and the truss/core
+  * components.
   */
 final class UnionFind(n: Int) {
   private val parent = Array.range(0, n)

@@ -23,7 +23,7 @@ object WeaklyGlobalNucleus {
     GlobalNucleus.requireSamples(nSamples)
     local.nucleiAt(k).zipWithIndex.flatMap { case (cand, ci) =>
       // candidate graph from the nucleus's edges (`local.subgraph` would span its triangles again)
-      val ws    = new DetNucleus.WorldStructure(local.graph.subgraph(cand.edges.toIndexedSeq))
+      val ws    = new DetNucleus.WorldStructure(local.graph.subgraph(cand.edges))
       val hcs   = ws.cs
       val tails = GlobalNucleus.worldCounts(ws, nSamples, seed + ci)(DetNucleus.levelSet(ws, _, k))
         .map(_.toDouble / nSamples)

@@ -1,6 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
 import scala.util.Random
 
 /** Synthetic probabilistic-graph generator (dataset substitution layer).
@@ -86,13 +85,25 @@ object GraphGen {
     * (the Table 3 requirement).
     */
   def generate(spec: Spec): IndexedSeq[(Long, Long, Double)] = {
+    val es = edges(spec)
+    (0 until es.size).map(e => (es.a(e), es.b(e), es.p(e)))
+  }
+
+  def graph(spec: Spec): ProbGraph = {
+    val es = edges(spec)
+    ProbGraph.build(es.a, es.b, es.p, es.size)
+  }
+
+  /** [[generate]]'s edges in insertion order. A probability is drawn from
+    * `probRnd` only for an edge not drawn before, and the ER loop stops on
+    * the count of distinct edges.
+    */
+  private def edges(spec: Spec): EdgeSet = {
     val rnd     = new Random(spec.seed)
     val probRnd = new Random(spec.seed ^ 0x5DEECE66DL)
-    val edges   = mutable.LinkedHashMap.empty[(Long, Long), Double]
-    def put(a: Int, b: Int, dist: ProbDist): Unit = if (a != b) {
-      val key = if (a < b) (a.toLong, b.toLong) else (b.toLong, a.toLong)
-      if (!edges.contains(key)) edges(key) = dist.sample(probRnd)
-    }
+    val edges   = new EdgeSet
+    def put(a: Int, b: Int, dist: ProbDist): Unit =
+      if (a != b && edges.add(math.min(a, b), math.max(a, b))) edges.p(edges.size - 1) = dist.sample(probRnd)
     val plantedDist = spec.cliqueDist.getOrElse(spec.dist)
     // planted cliques: blocks of consecutive-ish vertices with some overlap
     var cursor = 0
@@ -121,10 +132,66 @@ object GraphGen {
       put(rnd.nextInt(spec.nVertices), rnd.nextInt(spec.nVertices), spec.dist)
       tries += 1
     }
-    edges.iterator.map { case ((a, b), p) => (a, b, p) }.toIndexedSeq
+    edges
   }
 
-  def graph(spec: Spec): ProbGraph = ProbGraph(generate(spec))
+  /** Distinct edges (a, b), 0 ≤ a < b, in insertion order: growable arrays
+    * `a`, `b`, `p` (the caller sets `p` of an added edge), and a set of the
+    * packed keys `(a << 32) | b`, open addressing with linear probing. Key 0
+    * would be the self-loop (0, 0), so 0 marks an empty slot. The set stays
+    * at most half full and the arrays hold half its capacity.
+    */
+  private final class EdgeSet {
+    private var keys = new Array[Long](32)
+    var a    = new Array[Long](16)
+    var b    = new Array[Long](16)
+    var p    = new Array[Double](16)
+    var size = 0
+
+    /** Adds (x, y), x < y; false if it is already in. */
+    def add(x: Int, y: Int): Boolean = {
+      val key = (x.toLong << 32) | y
+      var i = slot(keys, key)
+      if (keys(i) == key) false
+      else {
+        if (size == a.length) {
+          grow()
+          i = slot(keys, key)
+        }
+        keys(i) = key
+        a(size) = x; b(size) = y
+        size += 1
+        true
+      }
+    }
+
+    private def grow(): Unit = {
+      val next = new Array[Long](grownKeyCapacity(keys.length))
+      var i = 0
+      while (i < keys.length) { if (keys(i) != 0) next(slot(next, keys(i))) = keys(i); i += 1 }
+      keys = next
+      a = java.util.Arrays.copyOf(a, next.length / 2)
+      b = java.util.Arrays.copyOf(b, next.length / 2)
+      p = java.util.Arrays.copyOf(p, next.length / 2)
+    }
+  }
+
+  /** The slot of `key` in `keys`, or the empty slot where it would go. */
+  private def slot(keys: Array[Long], key: Long): Int = {
+    val mask = keys.length - 1
+    var i = ((key * 0x9E3779B97F4A7C15L) >>> 33).toInt & mask
+    while (keys(i) != 0 && keys(i) != key) i = (i + 1) & mask
+    i
+  }
+
+  /** The doubled capacity of a full key set of `capacity` slots (a power of
+    * two); fails loudly where doubling would pass the largest power-of-two
+    * `Int` array instead of wrapping.
+    */
+  private[graph] def grownKeyCapacity(capacity: Int): Int = {
+    require(capacity < (1 << 30), s"more than ${capacity / 2} generated edges overflow the edge key set")
+    2 * capacity
+  }
 
   /** Planted clique sizes: `count` cliques with sizes cycling over `sizes`. */
   private def plant(count: Int, sizes: Int*): Seq[Int] =
@@ -133,9 +200,13 @@ object GraphGen {
   /** Named stand-ins for the paper's datasets (DESIGN.md §3). `scale`
     * multiplies vertex/edge/clique counts for the scalability sweeps.
     */
-  def dataset(name: String, scale: Double = 1.0, seedOffset: Long = 0): ProbGraph = {
+  def dataset(name: String, scale: Double = 1.0, seedOffset: Long = 0): ProbGraph =
+    graph(spec(name, scale, seedOffset))
+
+  /** The generator spec of the stand-in `name` (see [[dataset]]). */
+  def spec(name: String, scale: Double = 1.0, seedOffset: Long = 0): Spec = {
     def s(x: Int): Int = math.max(1, (x * scale).round.toInt)
-    val spec = name match {
+    name match {
       case "krogan" =>
         Spec(s(2708), s(5200), plant(s(24), 6, 8, 5, 10, 7), NormalDist(0.68, 0.15), 41L + seedOffset,
              cliqueDist = Some(NormalDist(0.8, 0.1)))
@@ -171,7 +242,6 @@ object GraphGen {
              cliqueDist = Some(UniformDist(0.3, 1.0)))
       case other => throw new IllegalArgumentException(s"unknown dataset stand-in: $other")
     }
-    graph(spec)
   }
 
   /** The six datasets of Tables 1 and 2, in the paper's (triangle-count) order. */

@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** A probabilistic graph G = (V, E, p): undirected simple graph with an
   * independent existence probability per edge (Section 2).
   *
@@ -73,8 +71,12 @@ final class ProbGraph private (
   /** The graph of some of this graph's edges `es` (dense ids, each with the
     * probability to give it), keeping this graph's vertex labels.
     */
-  def subgraph(es: Seq[(Int, Int, Double)]): ProbGraph =
-    ProbGraph(es.map { case (u, v, p) => (labels(u), labels(v), p) })
+  def subgraph(es: scala.collection.Seq[(Int, Int, Double)]): ProbGraph = {
+    val a = new Array[Long](es.length); val b = new Array[Long](es.length); val p = new Array[Double](es.length)
+    var i = 0
+    es.foreach { case (u, v, q) => a(i) = labels(u); b(i) = labels(v); p(i) = q; i += 1 }
+    ProbGraph.build(a, b, p, i)
+  }
 
   /** Average edge probability (Table 1 column p_avg). */
   def avgProb: Double = if (m == 0) 0.0 else {
@@ -96,39 +98,125 @@ object ProbGraph {
     *  - vertex labels can be any `Long`; dense ids follow label order.
     */
   def apply(edgeList: Seq[(Long, Long, Double)]): ProbGraph = {
-    val canon = mutable.LinkedHashMap.empty[(Long, Long), Double]
-    edgeList.foreach { case (a, b, p) =>
-      require(p > 0.0 && p <= 1.0, s"edge probability must be in (0,1], got $p")
-      if (a != b) {
-        val key = if (a < b) (a, b) else (b, a)
-        if (!canon.contains(key)) canon(key) = p
-      }
-    }
-    val labels = canon.keysIterator.flatMap { case (a, b) => Iterator(a, b) }.toArray.distinct.sorted
-    val index  = labels.zipWithIndex.toMap
-    val n      = labels.length
-    val deg    = new Array[Int](n)
-    canon.keysIterator.foreach { case (a, b) => deg(index(a)) += 1; deg(index(b)) += 1 }
-    val offsets = new Array[Int](n + 1)
+    val a = new Array[Long](edgeList.length); val b = new Array[Long](edgeList.length)
+    val p = new Array[Double](edgeList.length)
     var i = 0
-    while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
-    val cursor  = offsets.clone()
-    val adj     = new Array[Int](2 * canon.size)
-    val adjProb = new Array[Double](2 * canon.size)
-    canon.foreach { case ((a, b), p) =>
-      val (ia, ib) = (index(a), index(b))
-      adj(cursor(ia)) = ib; adjProb(cursor(ia)) = p; cursor(ia) += 1
-      adj(cursor(ib)) = ia; adjProb(cursor(ib)) = p; cursor(ib) += 1
+    edgeList.foreach { case (x, y, q) => a(i) = x; b(i) = y; p(i) = q; i += 1 }
+    build(a, b, p, i)
+  }
+
+  /** The one builder: the graph of the entries `(a(e), b(e), p(e))`,
+    * `e < len`, under [[apply]]'s contract, checked in entry order.
+    *  1. The kept entries' endpoints are sorted by label with an LSD radix
+    *     sort on bytes (sign bit flipped; a byte all endpoints share is
+    *     skipped), carrying each endpoint's slot: 2k or 2k + 1 for the k-th
+    *     kept entry. The runs of equal labels give `labels` and each slot's
+    *     dense id at once.
+    *  2. Each row is filled with packed `(neighbour << 32) | entry` longs in
+    *     entry order and sorted, so the first slot of each run of equal
+    *     neighbours is the first entry listed for that edge; the run is
+    *     compacted to it.
+    */
+  private[graph] def build(a: Array[Long], b: Array[Long], p: Array[Double], len: Int): ProbGraph = {
+    var kept = 0
+    var e = 0
+    while (e < len) {
+      require(p(e) > 0.0 && p(e) <= 1.0, s"edge probability must be in (0,1], got ${p(e)}")
+      if (a(e) != b(e)) kept += 1
+      e += 1
     }
-    // sort each adjacency row (neighbour, prob) by neighbour id
+    requireEntries(kept)
+    var key = new Array[Long](2 * kept); var slot = new Array[Int](2 * kept)
+    var k = 0
+    e = 0
+    while (e < len) {
+      if (a(e) != b(e)) { key(k) = a(e); key(k + 1) = b(e); slot(k) = k; slot(k + 1) = k + 1; k += 2 }
+      e += 1
+    }
+    var key2 = new Array[Long](key.length); var slot2 = new Array[Int](key.length)
+    val count = new Array[Int](257)
+    var shift = 0
+    while (shift < 64) {
+      java.util.Arrays.fill(count, 0)
+      k = 0
+      while (k < key.length) { count(digit(key(k), shift) + 1) += 1; k += 1 }
+      if (key.length > 0 && count(digit(key(0), shift) + 1) < key.length) {
+        var d = 0
+        while (d < 256) { count(d + 1) += count(d); d += 1 }
+        k = 0
+        while (k < key.length) {
+          val d = digit(key(k), shift)
+          key2(count(d)) = key(k); slot2(count(d)) = slot(k); count(d) += 1
+          k += 1
+        }
+        val tk = key; key = key2; key2 = tk
+        val ts = slot; slot = slot2; slot2 = ts
+      }
+      shift += 8
+    }
+    val id = slot2 // spare after the sort: id(s) is the dense id of the endpoint at slot s
+    var n = 0
+    k = 0
+    while (k < key.length) {
+      if (n == 0 || key(k) != key(n - 1)) { key(n) = key(k); n += 1 }
+      id(slot(k)) = n - 1
+      k += 1
+    }
+    val labels  = java.util.Arrays.copyOf(key, n)
+    val offsets = new Array[Int](n + 1) // row lengths with repeats, then their starts
+    k = 0
+    while (k < id.length) { offsets(id(k) + 1) += 1; k += 1 }
     var v = 0
+    while (v < n) { offsets(v + 1) += offsets(v); v += 1 }
+    val row    = key2 // spare after the sort
+    val cursor = java.util.Arrays.copyOf(offsets, n)
+    k = 0
+    e = 0
+    while (e < len) {
+      if (a(e) != b(e)) {
+        val x = id(k); val y = id(k + 1)
+        row(cursor(x)) = pack(y, e); cursor(x) += 1
+        row(cursor(y)) = pack(x, e); cursor(y) += 1
+        k += 2
+      }
+      e += 1
+    }
+    // sort each row and keep the first slot of each run of one neighbour, compacting in place
+    var w = 0
+    v = 0
     while (v < n) {
       val from = offsets(v); val to = offsets(v + 1)
-      val pairs = (from until to).map(j => (adj(j), adjProb(j))).sortBy(_._1)
+      java.util.Arrays.sort(row, from, to)
+      offsets(v) = w
       var j = from
-      pairs.foreach { case (w, p) => adj(j) = w; adjProb(j) = p; j += 1 }
+      while (j < to) {
+        if (j == from || (row(j) >>> 32) != (row(j - 1) >>> 32)) { row(w) = row(j); w += 1 }
+        j += 1
+      }
       v += 1
     }
+    offsets(n) = w
+    val adj     = new Array[Int](w)
+    val adjProb = new Array[Double](w)
+    var j = 0
+    while (j < w) { adj(j) = (row(j) >>> 32).toInt; adjProb(j) = p(row(j).toInt); j += 1 }
     new ProbGraph(n, labels, offsets, adj, adjProb)
+  }
+
+  /** Byte `shift / 8` of `x` with the sign bit flipped: bytes in signed order. */
+  private def digit(x: Long, shift: Int): Int = (((x ^ Long.MinValue) >>> shift) & 0xff).toInt
+
+  /** The builder holds two `Int`-indexed slots per kept entry: more than
+    * `Int.MaxValue / 2` entries fail loudly instead of wrapping.
+    */
+  private[graph] def requireEntries(kept: Long): Unit =
+    require(kept <= Int.MaxValue / 2, s"$kept edge entries overflow the graph's Int-indexed arrays (at most ${Int.MaxValue / 2})")
+
+  /** A row slot: `neighbour` in the high half and the entry index in the low
+    * one, both in [0, 2³¹), so the longs sort by neighbour, then by entry.
+    */
+  private[graph] def pack(neighbour: Int, entry: Int): Long = {
+    assert(neighbour >= 0 && entry >= 0, s"row slot ($neighbour, $entry) does not pack")
+    (neighbour.toLong << 32) | entry
   }
 }

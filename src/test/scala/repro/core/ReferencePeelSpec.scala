@@ -56,6 +56,24 @@ class ReferencePeelSpec extends AnyFunSuite {
     }
   }
 
+  test("a scorer that overwrites its row gives the same ν, order and counters as a clean one") {
+    // peel reuses one row buffer per length: what a scorer leaves in it must not reach a later call
+    val scribbler: ProbPeeling.Scorer = (p, probs, theta) => {
+      val k = PoissonBinomial.kappaFast(p, probs, theta)
+      java.util.Arrays.fill(probs, Double.NaN)
+      k
+    }
+    val rnd = new Random(71)
+    val inputs = for (arity <- 2 to 4; trial <- 1 to 4)
+      yield (s"arity $arity trial $trial", if (trial % 2 == 0) randomInput(rnd, arity) else highSupportInput(rnd, arity))
+    for ((what, in) <- inputs; theta <- thetas) {
+      val (got, want) = (ProbPeeling.peel(in, theta, scribbler), ProbPeeling.peel(in, theta, PoissonBinomial.kappaFast))
+      assert(got.nu.sameElements(want.nu) && got.order.sameElements(want.order), s"$what θ=$theta")
+      assert(got.initialKappa.sameElements(want.initialKappa), s"$what θ=$theta")
+      assert((got.rescorings, got.stalePops) == ((want.rescorings, want.stalePops)), s"$what θ=$theta")
+    }
+  }
+
   test("flat and nested kernels: identical on the ℓ, truss and core inputs of the six Table 1/2 stand-ins") {
     for (ds <- GraphGen.paperDatasets) {
       val g = GraphGen.dataset(ds)

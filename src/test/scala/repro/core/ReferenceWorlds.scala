@@ -12,6 +12,14 @@ import scala.util.Random
   */
 object ReferenceWorlds {
 
+  /** The edges of g's level-k candidates as `GlobalNucleus.validate` spans
+    * them, each with the triangle it was grown from.
+    */
+  def gCandidateEdges(local: LocalNucleus.Decomposition, k: Int): Seq[(Int, Array[(Int, Int, Double)])] =
+    GlobalNucleus.candidates(local, k).map { case (t, candTris) =>
+      (t, LocalNucleus.span(local.graph, local.structure.tris, candTris)()._2)
+    }
+
   /** One world of `edges` as a fresh mask over their order. */
   def sampleMask(edges: Array[(Int, Int, Double)], rnd: Random): Array[Boolean] =
     edges.map { case (_, _, p) => rnd.nextDouble() < p }

@@ -12,15 +12,12 @@ class ReferenceWorldsSpec extends AnyFunSuite {
 
   /** g's candidates at level k, each with its seed offset and its structure, as `validate` builds it. */
   private def gCandidates(local: LocalNucleus.Decomposition, k: Int): Seq[(Int, DetNucleus.WorldStructure)] =
-    GlobalNucleus.candidates(local, k).map { case (t, candTris) =>
-      val (_, es) = LocalNucleus.span(local.graph, local.structure.tris, candTris)()
-      (t, new DetNucleus.WorldStructure(local.graph.subgraph(es.toIndexedSeq)))
-    }
+    ReferenceWorlds.gCandidateEdges(local, k).map { case (t, es) => (t, new DetNucleus.WorldStructure(local.graph.subgraph(es))) }
 
   /** w's candidates at level k: the ℓ-nuclei, with their index. */
   private def wCandidates(local: LocalNucleus.Decomposition, k: Int): Seq[(Int, DetNucleus.WorldStructure)] =
     local.nucleiAt(k).zipWithIndex.map { case (cand, ci) =>
-      (ci, new DetNucleus.WorldStructure(local.graph.subgraph(cand.edges.toIndexedSeq)))
+      (ci, new DetNucleus.WorldStructure(local.graph.subgraph(cand.edges)))
     }
 
   /** Compares g's and w's counts on every candidate at every level, seeded

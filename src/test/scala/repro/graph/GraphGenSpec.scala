@@ -47,6 +47,29 @@ class GraphGenSpec extends AnyFunSuite {
     assert(sizes("ljournal") > sizes("biomine"))
   }
 
+  test("the edge key set doubles and fails loudly where an Int array would wrap") {
+    assert(grownKeyCapacity(32) == 64)
+    assert(grownKeyCapacity(1 << 29) == (1 << 30))
+    val e = intercept[IllegalArgumentException](grownKeyCapacity(1 << 30))
+    assert(e.getMessage.contains("overflow"))
+  }
+
+  test("the seed-0 stand-ins have the graph digests the benchmark records under setup:") {
+    // SHA-256 over the label-sorted (a, b, bits of p) longs, first 8 bytes in hex
+    def digest(g: ProbGraph): String = {
+      val md  = java.security.MessageDigest.getInstance("SHA-256")
+      val buf = java.nio.ByteBuffer.allocate(24)
+      g.edges.map { case (u, v, p) => (g.labels(u), g.labels(v), p) }.sortBy(e => (e._1, e._2)).foreach { case (a, b, p) =>
+        buf.clear(); buf.putLong(a).putLong(b).putLong(java.lang.Double.doubleToLongBits(p)); md.update(buf.array())
+      }
+      md.digest().take(8).map(b => f"${b & 0xff}%02x").mkString
+    }
+    val src = scala.io.Source.fromFile("nucbench/expected-seed0.txt", "UTF-8")
+    val expected = try src.getLines().collect { case s"$_ setup:$ds $hex" => ds -> hex }.toMap finally src.close()
+    assert(expected.keySet == Set("krogan", "dblp", "flickr", "pokec", "biomine", "ljournal", "enwiki"))
+    for ((ds, hex) <- expected) assert(digest(dataset(ds)) == hex, ds)
+  }
+
   test("unknown dataset name rejected") {
     intercept[IllegalArgumentException](dataset("nope"))
   }

@@ -58,6 +58,16 @@ class ProbGraphSpec extends AnyFunSuite {
     assert(g.subgraph(Nil).n == 0)
   }
 
+  test("size limits fail loudly: kept entries and packed row slots") {
+    ProbGraph.requireEntries(Int.MaxValue / 2)
+    val e = intercept[IllegalArgumentException](ProbGraph.requireEntries(Int.MaxValue / 2 + 1L))
+    assert(e.getMessage.contains("overflow"))
+    assert(ProbGraph.pack(Int.MaxValue, Int.MaxValue) == 0x7fffffff7fffffffL)
+    assert(ProbGraph.pack(3, 0) > ProbGraph.pack(2, Int.MaxValue))
+    intercept[AssertionError](ProbGraph.pack(-1, 0))
+    intercept[AssertionError](ProbGraph.pack(0, -1))
+  }
+
   test("neighbors sorted") {
     val g = ProbGraph(Seq((5L, 1L, 0.5), (5L, 9L, 0.5), (5L, 3L, 0.5)))
     val vid5 = java.util.Arrays.binarySearch(g.labels, 5L)
