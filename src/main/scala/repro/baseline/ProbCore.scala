@@ -20,25 +20,8 @@ object ProbCore {
     /** Connected components of the subgraph induced by vertices with core
       * number ≥ k (the (k,η)-cores).
       */
-    def coresAt(k: Int): Seq[ProbGraph] = components(graph, keptEdges(k))
-
-    /** The edges of `graph.edges`, in its order, whose ends both have core number ≥ k. */
-    private[baseline] def keptEdges(k: Int): Array[(Int, Int, Double)] = {
-      val kept = Array.newBuilder[(Int, Int, Double)]
-      var u = 0
-      while (u < graph.n) {
-        if (coreNumber(u) >= k) {
-          var i = graph.offsets(u)
-          while (i < graph.offsets(u + 1)) {
-            val v = graph.adj(i)
-            if (u < v && coreNumber(v) >= k) kept += ((u, v, graph.adjProb(i)))
-            i += 1
-          }
-        }
-        u += 1
-      }
-      kept.result()
-    }
+    def coresAt(k: Int): Seq[ProbGraph] =
+      components(graph, (u, s) => coreNumber(u) >= k && coreNumber(graph.adj(s)) >= k)
   }
 
   def decompose(g: ProbGraph, eta: Double): Decomposition =
@@ -48,28 +31,31 @@ object ProbCore {
     * the edges at arity 2 with Pr(E) = (p, p).
     */
   def kernelInput(g: ProbGraph): ProbPeeling.Input = {
-    // one group per edge (u, v), u < v, in `g.edges` order: the CSR rows' upper halves
+    // one group per edge (u, v), u < v, in `g.edges` order
     val ends = new Array[Int](2 * g.m)
     val prE  = new Array[Double](2 * g.m)
-    var e = 0; var u = 0
-    while (u < g.n) {
-      var i = g.offsets(u)
-      while (i < g.offsets(u + 1)) {
-        val v = g.adj(i)
-        if (u < v) { ends(e) = u; ends(e + 1) = v; prE(e) = g.adjProb(i); prE(e + 1) = g.adjProb(i); e += 2 }
-        i += 1
-      }
-      u += 1
-    }
+    var e = 0
+    g.forEachEdge { (u, s) => ends(e) = u; ends(e + 1) = g.adj(s); prE(e) = g.adjProb(s); prE(e + 1) = g.adjProb(s); e += 2 }
     ProbPeeling.Input.ofGroups(Array.fill(g.n)(1.0), 2, ends, prE)
   }
 
-  /** Connected components (via shared vertices) of a kept edge list, as
-    * labeled probabilistic subgraphs.
+  /** Connected components (via shared vertices) of the kept edges of `g`, as
+    * labeled probabilistic subgraphs: `keep(u, s)` says whether the edge at
+    * slot s of row u, u < g.adj(s), is kept. The components come in order of
+    * their least vertex, and each lists its edges in `g.edges` order, so
+    * neither depends on how the union-find links its roots.
     */
-  private[baseline] def components(g: ProbGraph, kept: Array[(Int, Int, Double)]): Seq[ProbGraph] = {
-    val uf = new UnionFind(g.n)
-    kept.foreach { case (u, v, _) => uf.union(u, v) }
-    kept.groupBy { case (u, _, _) => uf.find(u) }.values.toSeq.map(es => g.subgraph(es))
+  private[baseline] def components(g: ProbGraph, keep: (Int, Int) => Boolean): Seq[ProbGraph] = {
+    val uf      = new UnionFind(g.n)
+    val touched = new Array[Boolean](g.n)
+    g.forEachEdge { (u, s) => if (keep(u, s)) { uf.union(u, g.adj(s)); touched(u) = true; touched(g.adj(s)) = true } }
+    uf.components(touched(_)).map { vs =>
+      val es = Array.newBuilder[(Int, Int, Double)]
+      vs.foreach { u =>
+        var s = g.offsets(u)
+        while (s < g.offsets(u + 1)) { if (u < g.adj(s) && keep(u, s)) es += ((u, g.adj(s), g.adjProb(s))); s += 1 }
+      }
+      g.subgraph(es.result())
+    }
   }
 }

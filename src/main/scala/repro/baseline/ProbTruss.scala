@@ -16,38 +16,36 @@ import repro.prob.PoissonBinomial
   */
 object ProbTruss {
 
-  final case class Decomposition(graph: ProbGraph, gamma: Double,
-                                 edgeList: Array[(Int, Int, Double)],
-                                 trussNumber: Array[Int]) {
+  /** `trussNumber(e)` is the truss number of edge e of `graph.edges`. */
+  final case class Decomposition(graph: ProbGraph, gamma: Double, trussNumber: Array[Int]) {
     def kMax: Int = if (trussNumber.isEmpty) 0 else math.max(0, trussNumber.max)
+
+    /** The edges `trussNumber` is indexed by: `graph.edges`, boxed on each call. */
+    def edgeList: Array[(Int, Int, Double)] = graph.edges
 
     /** Connected components of the subgraph of edges with truss number ≥ k. */
     def trussesAt(k: Int): Seq[ProbGraph] = {
-      val kept = edgeList.zipWithIndex.collect { case (e, i) if trussNumber(i) >= k => e }
-      ProbCore.components(graph, kept)
+      val ids = graph.edgeIds
+      ProbCore.components(graph, (_, s) => trussNumber(ids(s)) >= k)
     }
   }
 
-  def decompose(g: ProbGraph, gamma: Double): Decomposition = {
-    val edges = g.edges
-    Decomposition(g, gamma, edges, ProbPeeling.peel(kernelInput(g, edges), gamma, PoissonBinomial.kappaFast).nu)
-  }
+  def decompose(g: ProbGraph, gamma: Double): Decomposition =
+    Decomposition(g, gamma, ProbPeeling.peel(kernelInput(g), gamma, PoissonBinomial.kappaFast).nu)
 
-  /** The peeling-kernel input: items are `edges` (= `g.edges`), groups are
+  /** The peeling-kernel input: items are the edges of `g.edges`, groups are
     * triangles at arity 3, each member's Pr(E) the product of its two wings.
     */
-  def kernelInput(g: ProbGraph, edges: Array[(Int, Int, Double)]): ProbPeeling.Input = {
-    val tris     = Triangles.enumerate(g)
-    val triEdges = Triangles.edgeIds(g, tris) // (uv, uw, vw) per triangle
-    val wings    = new Array[Double](triEdges.length) // each member's two wing edges
+  def kernelInput(g: ProbGraph): ProbPeeling.Input = {
+    val tris  = Triangles.enumerate(g)
+    val slots = tris.slots // (uv, uw, vw) per triangle
+    val wings = new Array[Double](slots.length) // each member's two wing edges
     var i = 0
-    while (i < triEdges.length) {
-      val puv = edges(triEdges(i))._3
-      val puw = edges(triEdges(i + 1))._3
-      val pvw = edges(triEdges(i + 2))._3
+    while (i < slots.length) {
+      val puv = g.adjProb(slots(i)); val puw = g.adjProb(slots(i + 1)); val pvw = g.adjProb(slots(i + 2))
       wings(i) = puw * pvw; wings(i + 1) = puv * pvw; wings(i + 2) = puv * puw
       i += 3
     }
-    ProbPeeling.Input.ofGroups(edges.map(_._3), 3, triEdges, wings)
+    ProbPeeling.Input.ofGroups(g.edgeProbs, 3, Triangles.edgeIds(g, tris), wings)
   }
 }

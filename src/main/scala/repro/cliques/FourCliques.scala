@@ -42,7 +42,8 @@ object FourCliques {
     * listing; for each block, marks give every vertex x above v its slot in
     * rows u and v and, for x in the block, the id of (u, v, x). A triangle
     * (u, v, w) then scans w's neighbours above w, and an x whose block id is
-    * above (u, v, w)'s closes a clique. Block ids only grow, so marks left by
+    * above (u, v, w)'s closes a clique; the slots of (u, v), (u, w) and
+    * (v, w) are the listing's own. Block ids only grow, so marks left by
     * earlier blocks never pass and are never cleared.
     */
   def build(g: ProbGraph): CliqueStructure = {
@@ -69,10 +70,10 @@ object FourCliques {
         Triangles.mark(g, vSlot, up(v), v)
         var b = t
         while (b < end) { block(tris.w(b)) = b; b += 1 }
-        val puv = g.adjProb(uSlot(v))
+        val puv = g.adjProb(tris.slots(3 * t))
         while (t < end) {
           val w  = tris.w(t)
-          val uw = uSlot(w); val vw = vSlot(w)
+          val uw = tris.slots(3 * t + 1); val vw = tris.slots(3 * t + 2)
           val puw = g.adjProb(uw); val pvw = g.adjProb(vw)
           var c = up(w); val cE = g.offsets(w + 1)
           while (c < cE) {

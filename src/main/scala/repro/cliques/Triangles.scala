@@ -9,11 +9,15 @@ object Triangles {
 
   /** Flat triangle list for a graph: parallel arrays (u, v, w, prob) with
     * u < v < w and prob = p(u,v)·p(u,w)·p(v,w) (the triangle's own
-    * existence probability Pr(Δ)).
+    * existence probability Pr(Δ)), and `slots`, 3 per triangle: the CSR
+    * slots of (u,v) in row u, (u,w) in row u and (v,w) in row v.
     */
-  final case class TriangleList(u: Array[Int], v: Array[Int], w: Array[Int], prob: Array[Double]) {
+  final case class TriangleList(u: Array[Int], v: Array[Int], w: Array[Int], prob: Array[Double], slots: Array[Int]) {
     def size: Int = u.length
   }
+
+  /** Largest triangle count the flat 3-per-triangle `slots` array can hold. */
+  val MaxTriangles: Int = Int.MaxValue / 3
 
   /** Enumerate all triangles of g, each exactly once with u < v < w, in
     * lexicographic order. For each u, its neighbours x above u are marked
@@ -27,6 +31,7 @@ object Triangles {
     val slot = Array.fill(g.n)(-1) // x's slot in the row of the last u that marked it
     var tu = new Array[Int](64); var tv = new Array[Int](64)
     var tw = new Array[Int](64); var tp = new Array[Double](64)
+    var ts = new Array[Int](3 * 64)
     var len = 0
     var u = 0
     while (u < g.n) {
@@ -40,12 +45,14 @@ object Triangles {
           val x = g.adj(j); val ux = slot(x)
           if (ux >= lo) {
             if (len == tu.length) {
-              val cap = grownCapacity(len, Int.MaxValue, "triangles")
+              val cap = grownCapacity(len, MaxTriangles, s"triangles (3 slots each, at most $MaxTriangles)")
               tu = java.util.Arrays.copyOf(tu, cap); tv = java.util.Arrays.copyOf(tv, cap)
               tw = java.util.Arrays.copyOf(tw, cap); tp = java.util.Arrays.copyOf(tp, cap)
+              ts = java.util.Arrays.copyOf(ts, 3 * cap)
             }
             tu(len) = u; tv(len) = v; tw(len) = x
             tp(len) = puv * g.adjProb(ux) * g.adjProb(j)
+            ts(3 * len) = i; ts(3 * len + 1) = ux; ts(3 * len + 2) = j
             len += 1
           }
           j += 1
@@ -55,7 +62,8 @@ object Triangles {
       u += 1
     }
     TriangleList(java.util.Arrays.copyOf(tu, len), java.util.Arrays.copyOf(tv, len),
-                 java.util.Arrays.copyOf(tw, len), java.util.Arrays.copyOf(tp, len))
+                 java.util.Arrays.copyOf(tw, len), java.util.Arrays.copyOf(tp, len),
+                 java.util.Arrays.copyOf(ts, 3 * len))
   }
 
   /** Marks each neighbour x of `v` from row slot `from` on with its slot. */
@@ -83,13 +91,7 @@ object Triangles {
   /** Flat, 3 per triangle: the indices in `g.edges` of its edges (u,v), (u,w), (v,w). */
   def edgeIds(g: ProbGraph, tris: TriangleList): Array[Int] = {
     val ids = g.edgeIds
-    val out = new Array[Int](3 * tris.size)
-    for (t <- 0 until tris.size) {
-      out(3 * t)     = ids(g.slot(tris.u(t), tris.v(t)))
-      out(3 * t + 1) = ids(g.slot(tris.u(t), tris.w(t)))
-      out(3 * t + 2) = ids(g.slot(tris.v(t), tris.w(t)))
-    }
-    out
+    tris.slots.map(ids(_))
   }
 
   /** Triangle ids through their lowest edge: [[enumerate]] lists triangles in
@@ -100,13 +102,11 @@ object Triangles {
   final class Index(g: ProbGraph, tris: TriangleList) {
     private val start = new Array[Int](g.adj.length + 1) // slot s: positions start(s) until start(s + 1)
     locally {
-      // in lexicographic order the slots of the (u, v) edges never go down: one walk over the CSR finds them
-      var s = 0; var t = 0
+      // in lexicographic order the slots of the (u, v) edges never go down
+      var t = 0
       while (t < tris.size) {
-        val v = tris.v(t); val end = g.offsets(tris.u(t) + 1)
-        s = math.max(s, g.offsets(tris.u(t)))
-        while (s < end && g.adj(s) != v) s += 1
-        require(s < end, s"triangle $t is out of lexicographic order or not in g")
+        val s = tris.slots(3 * t)
+        require(t == 0 || s >= tris.slots(3 * t - 3), s"triangle $t is out of lexicographic order")
         start(s + 1) += 1; t += 1
       }
     }

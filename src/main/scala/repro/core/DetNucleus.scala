@@ -24,7 +24,7 @@ object DetNucleus {
   final class WorldStructure(val graph: ProbGraph) {
     val edges: Array[(Int, Int, Double)] = graph.edges
     /** Pr(e) in `edges` order: what each world draws against. */
-    val probs: Array[Double]             = edges.map(_._3)
+    val probs: Array[Double]             = graph.edgeProbs
     val cs: FourCliques.CliqueStructure  = FourCliques.build(graph)
     /** Flat, 3 edge ids per triangle. */
     val triEdges: Array[Int] = Triangles.edgeIds(graph, cs.tris)

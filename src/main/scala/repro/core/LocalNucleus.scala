@@ -165,9 +165,8 @@ object LocalNucleus {
       seenV.set(u); seenV.set(v); seenV.set(w)
       var j = 0
       while (j < 3) {
-        val a = if (j < 2) u else v
-        val s = g.slot(a, if (j == 0) v else w)
-        if (!seenE.get(s)) { seenE.set(s); eu(ne) = a; es(ne) = s; ne += 1 }
+        val s = tris.slots(3 * t + j)
+        if (!seenE.get(s)) { seenE.set(s); eu(ne) = if (j < 2) u else v; es(ne) = s; ne += 1 }
         j += 1
       }
       i += 1

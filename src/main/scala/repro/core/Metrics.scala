@@ -8,10 +8,11 @@ import repro.graph.ProbGraph
   */
 object Metrics {
 
-  /** PD(G) = Σ_e p(e) / (|V|·(|V|−1)/2). */
+  /** PD(G) = Σ_e p(e) / (|V|·(|V|−1)/2), summed in `g.edges` order. */
   def pd(g: ProbGraph): Double = {
     if (g.n < 2) return 0.0
-    val sum = g.edges.map(_._3).sum
+    var sum = 0.0
+    g.forEachEdge((_, s) => sum += g.adjProb(s))
     sum / (g.n.toDouble * (g.n - 1) / 2.0)
   }
 

@@ -40,31 +40,38 @@ final class ProbGraph private (
 
   def hasEdge(u: Int, v: Int): Boolean = !prob(u, v).isNaN
 
+  /** Calls `f(u, s)` for every CSR slot s of row u with u < adj(s): each
+    * edge once, in [[edges]] order.
+    */
+  def forEachEdge(f: (Int, Int) => Unit): Unit = {
+    var u = 0
+    while (u < n) {
+      var s = offsets(u)
+      while (s < offsets(u + 1)) { if (u < adj(s)) f(u, s); s += 1 }
+      u += 1
+    }
+  }
+
   /** Undirected edge list with canonical u < v. */
   def edges: Array[(Int, Int, Double)] = {
     val out = Array.newBuilder[(Int, Int, Double)]
-    var u = 0
-    while (u < n) {
-      var i = offsets(u)
-      while (i < offsets(u + 1)) {
-        val v = adj(i)
-        if (u < v) out += ((u, v, adjProb(i)))
-        i += 1
-      }
-      u += 1
-    }
+    forEachEdge((u, s) => out += ((u, adj(s), adjProb(s))))
     out.result()
+  }
+
+  /** Pr(e) of every edge, in [[edges]] order. */
+  def edgeProbs: Array[Double] = {
+    val out = new Array[Double](m)
+    var e = 0
+    forEachEdge { (_, s) => out(e) = adjProb(s); e += 1 }
+    out
   }
 
   /** Index in [[edges]] of the edge at every CSR slot of row u with u < adj(slot). */
   def edgeIds: Array[Int] = {
     val ids = new Array[Int](adj.length)
-    var e = 0; var u = 0
-    while (u < n) {
-      var i = offsets(u)
-      while (i < offsets(u + 1)) { if (u < adj(i)) { ids(i) = e; e += 1 }; i += 1 }
-      u += 1
-    }
+    var e = 0
+    forEachEdge { (_, s) => ids(s) = e; e += 1 }
     ids
   }
 

@@ -7,7 +7,7 @@ import repro.graph.ProbGraph
 /** The merge-based triangle and 4-clique listings the forward, mark-based
   * ones replaced, kept as the reference they are compared against array for
   * array. `enumerate` merges rows u and v from their first entries and drops
-  * every x ≤ v; `build` does a 3-way merge of rows u, v and w above w and
+  * every x ≤ v, and finds each triangle's slots with `g.slot`; `build` does a 3-way merge of rows u, v and w above w and
   * finds each clique's other triangles by binary search.
   */
 object ReferenceListing {
@@ -15,6 +15,7 @@ object ReferenceListing {
   def enumerate(g: ProbGraph): TriangleList = {
     val bu = Array.newBuilder[Int]; val bv = Array.newBuilder[Int]
     val bw = Array.newBuilder[Int]; val bp = Array.newBuilder[Double]
+    val bs = Array.newBuilder[Int]
     var u = 0
     while (u < g.n) {
       var i = g.offsets(u)
@@ -31,6 +32,7 @@ object ReferenceListing {
               if (x > v) {
                 bu += u; bv += v; bw += x
                 bp += puv * g.adjProb(a) * g.adjProb(b)
+                bs += g.slot(u, v) += g.slot(u, x) += g.slot(v, x)
               }
               a += 1; b += 1
             } else if (x < y) a += 1
@@ -41,7 +43,7 @@ object ReferenceListing {
       }
       u += 1
     }
-    TriangleList(bu.result(), bv.result(), bw.result(), bp.result())
+    TriangleList(bu.result(), bv.result(), bw.result(), bp.result(), bs.result())
   }
 
   /** Id of triangle (u, v, w), u < v < w, through the CSR slot of (u, v). */

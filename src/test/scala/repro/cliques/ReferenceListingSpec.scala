@@ -5,7 +5,8 @@ import repro.graph.{GraphGen, ProbGraph}
 import scala.util.Random
 
 /** The forward, mark-based listings against the merge-based
-  * `ReferenceListing`: `enumerate`'s u, v, w and the raw bits of prob, and
+  * `ReferenceListing`: `enumerate`'s u, v, w, the raw bits of prob and the
+  * slots (against `g.slot` lookups), and
   * `build`'s cliqueTris, the raw bits of cliquePrE, and triCliques, all array
   * for array.
   */
@@ -19,6 +20,7 @@ class ReferenceListingSpec extends AnyFunSuite {
     assert(got.v.sameElements(want.v), s"$what: v")
     assert(got.w.sameElements(want.w), s"$what: w")
     assert(bits(got.prob).sameElements(bits(want.prob)), s"$what: prob")
+    assert(got.slots.sameElements(want.slots), s"$what: slots")
     val (cs, ref) = (FourCliques.build(g), ReferenceListing.build(g))
     assert(cs.cliqueTris.sameElements(ref.cliqueTris), s"$what: cliqueTris")
     assert(bits(cs.cliquePrE).sameElements(bits(ref.cliquePrE)), s"$what: cliquePrE")

@@ -52,7 +52,8 @@ class TrianglesSpec extends AnyFunSuite {
     val g    = GraphGen.graph(GraphGen.Spec(30, 90, Seq(6, 5), GraphGen.UniformDist(), seed = 4))
     val tris = Triangles.enumerate(g)
     assert(tris.size > 1)
-    val reversed = Triangles.TriangleList(tris.u.reverse, tris.v.reverse, tris.w.reverse, tris.prob.reverse)
+    val reversed = Triangles.TriangleList(tris.u.reverse, tris.v.reverse, tris.w.reverse, tris.prob.reverse,
+                                          tris.slots.grouped(3).toArray.reverse.flatten)
     intercept[IllegalArgumentException](new Triangles.Index(g, reversed))
   }
 

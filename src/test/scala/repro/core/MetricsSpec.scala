@@ -92,4 +92,17 @@ class MetricsSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("PD sums the edges in g.edges order: its raw bits equal the boxed formula on the 9 stand-ins and the krogan nuclei") {
+    def boxed(g: ProbGraph): Double =
+      if (g.n < 2) 0.0 else g.edges.map(_._3).sum / (g.n.toDouble * (g.n - 1) / 2.0)
+    def assertSameBits(what: String, g: ProbGraph): Unit =
+      assert(java.lang.Double.doubleToRawLongBits(Metrics.pd(g)) == java.lang.Double.doubleToRawLongBits(boxed(g)), what)
+    for (ds <- GraphGen.paperDatasets ++ Seq("pokec_Normal", "pokec_Pareto", "enwiki"))
+      assertSameBits(ds, GraphGen.dataset(ds))
+    val dec    = LocalNucleus.decompose(GraphGen.dataset("krogan"), 0.1, LocalNucleus.DP)
+    val nuclei = dec.allNuclei
+    assert(nuclei.nonEmpty)
+    nuclei.zipWithIndex.foreach { case (n, i) => assertSameBits(s"krogan k=${n.k} nucleus $i", dec.subgraph(n.triangleIds)) }
+  }
 }

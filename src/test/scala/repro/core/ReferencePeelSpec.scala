@@ -79,7 +79,7 @@ class ReferencePeelSpec extends AnyFunSuite {
       val g = GraphGen.dataset(ds)
       val inputs = Seq(
         "ℓ"     -> LocalNucleus.kernelInput(FourCliques.build(g)),
-        "truss" -> ProbTruss.kernelInput(g, g.edges),
+        "truss" -> ProbTruss.kernelInput(g),
         "core"  -> ProbCore.kernelInput(g))
       for ((kind, in) <- inputs; (name, scorer) <- scorers; theta <- thetas)
         assertSameRun(s"$ds $kind $name θ=$theta", in, theta, scorer)

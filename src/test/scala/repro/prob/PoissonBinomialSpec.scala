@@ -156,7 +156,7 @@ class PoissonBinomialSpec extends AnyFunSuite {
     for (ds <- GraphGen.paperDatasets) {
       val g = GraphGen.dataset(ds)
       val inputs = Seq(
-        LocalNucleus.kernelInput(FourCliques.build(g)), ProbTruss.kernelInput(g, g.edges), ProbCore.kernelInput(g))
+        LocalNucleus.kernelInput(FourCliques.build(g)), ProbTruss.kernelInput(g), ProbCore.kernelInput(g))
       for (in <- inputs; theta <- Seq(0.1, 0.2, 0.3)) ProbPeeling.peel(in, theta, scorer)
     }
     assert(calls > 0 && secondPass == 0, s"$secondPass of $calls calls needed a second DP pass")
