@@ -25,7 +25,7 @@ object ProbCore {
   }
 
   def decompose(g: ProbGraph, eta: Double): Decomposition =
-    Decomposition(g, eta, ProbPeeling.peel(kernelInput(g), eta, PoissonBinomial.kappaFast).nu)
+    Decomposition(g, eta, ProbPeeling.peel(kernelInput(g), eta, new PoissonBinomial.KappaDp).nu)
 
   /** The peeling-kernel input: items are vertices (itemProb 1), groups are
     * the edges at arity 2 with Pr(E) = (p, p).

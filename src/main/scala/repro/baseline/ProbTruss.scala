@@ -31,7 +31,7 @@ object ProbTruss {
   }
 
   def decompose(g: ProbGraph, gamma: Double): Decomposition =
-    Decomposition(g, gamma, ProbPeeling.peel(kernelInput(g), gamma, PoissonBinomial.kappaFast).nu)
+    Decomposition(g, gamma, ProbPeeling.peel(kernelInput(g), gamma, new PoissonBinomial.KappaDp).nu)
 
   /** The peeling-kernel input: items are the edges of `g.edges`, groups are
     * triangles at arity 3, each member's Pr(E) the product of its two wings.

@@ -11,9 +11,9 @@ import repro.graph.ProbGraph
 object DetNucleus {
 
   /** The clique structure of a graph `graph`, built once, over which a
-    * possible world is an edge mask in `edges` order (the §6 space note: a
-    * world is a bit per edge). A triangle is alive in a world iff its 3
-    * edges are present, a 4-clique iff its 4 member triangles are alive.
+    * possible world is an edge mask in `graph.edges` order (the §6 space
+    * note: a world is a bit per edge). A triangle is alive in a world iff its
+    * 3 edges are present, a 4-clique iff its 4 member triangles are alive.
     *
     * It also holds one world's scratch, built once and reused by every
     * world call on it ([[isKNucleus]], [[levelSet]]): `mask` for the sampler
@@ -22,22 +22,21 @@ object DetNucleus {
     * on the same structure, and one structure serves one thread.
     */
   final class WorldStructure(val graph: ProbGraph) {
-    val edges: Array[(Int, Int, Double)] = graph.edges
-    /** Pr(e) in `edges` order: what each world draws against. */
+    /** Pr(e) in `graph.edges` order: what each world draws against. */
     val probs: Array[Double]             = graph.edgeProbs
     val cs: FourCliques.CliqueStructure  = FourCliques.build(graph)
     /** Flat, 3 edge ids per triangle. */
     val triEdges: Array[Int] = Triangles.edgeIds(graph, cs.tris)
 
     /** A world's edge mask, for the sampler to fill. */
-    val mask: Array[Boolean] = new Array[Boolean](edges.length)
+    val mask: Array[Boolean] = new Array[Boolean](graph.m)
     /** The last world's triangles: all alive ones after [[isKNucleus]], the
       * level-k survivors after [[levelSet]].
       */
     private[core] val alive   = new Array[Boolean](cs.nTriangles)
     private[core] val clique  = new Array[Boolean](cs.nCliques)
     private[core] val support = new Array[Int](cs.nTriangles)
-    private[core] val covered = new Array[Boolean](edges.length)
+    private[core] val covered = new Array[Boolean](graph.m)
     /** Each triangle is pushed at most once per world, so one slot each. */
     private[core] val stack   = new Array[Int](cs.nTriangles)
     private[core] val seen    = new Array[Boolean](cs.nTriangles)

@@ -73,8 +73,9 @@ object LocalNucleus {
     def subgraph(triIds: Array[Int]): ProbGraph = graph.subgraph(span(graph, structure.tris, triIds)()._2)
   }
 
+  /** A fresh scorer for one peel (DP's holds its DP row). */
   def scorer(mode: Mode): ProbPeeling.Scorer = mode match {
-    case DP => PoissonBinomial.kappaFast
+    case DP => new PoissonBinomial.KappaDp
     case AP => Approximations.kappaAuto(_, _, _)
   }
 

@@ -32,54 +32,58 @@ object ProbPeeling {
     */
   type Scorer = (Double, Array[Double], Double) => Int
 
-  /** The item/group hypergraph. Arrays `groupItems(g)` and `groupPrE(g)`
-    * are aligned: groupPrE(g)(i) is Pr(E) contributed by group g to item
-    * groupItems(g)(i). `itemGroups` is the inverse, each list in increasing
-    * group order; `peel` derives its own item→group rows from `groupItems`.
+  /** The item/group hypergraph, flat: group g's members are
+    * `members(arity·g until arity·(g+1))` with the aligned Pr(E) values in
+    * `prE`. Each item's groups are taken in increasing group order, so a
+    * scorer sees an item's probabilities in group order. The arrays are the
+    * caller's, not copies, and `peel` never writes them.
     */
-  final case class Input(
-      itemProb: Array[Double],
-      groupItems: Array[Array[Int]],
-      groupPrE: Array[Array[Double]],
-      itemGroups: Array[Array[Int]]
-  ) {
+  final class Input private (val itemProb: Array[Double], val arity: Int,
+                             val members: Array[Int], val prE: Array[Double]) {
     def nItems: Int  = itemProb.length
-    def nGroups: Int = groupItems.length
+    def nGroups: Int = members.length / arity
+
+    // Nested read-only views, built on first read, for the fixpoint check
+    // and the test references; `peel` reads none of them. They and the
+    // nested `Input.apply` go away when the benchmark's checks read the flat
+    // arrays.
+    /** Group g's members. */
+    lazy val groupItems: Array[Array[Int]] = members.grouped(arity).toArray
+    /** Group g's Pr(E) values, aligned with `groupItems(g)`. */
+    lazy val groupPrE: Array[Array[Double]] = prE.grouped(arity).toArray
+    /** Each item's groups, in increasing group order. */
+    lazy val itemGroups: Array[Array[Int]] = {
+      val out = Array.fill(nItems)(Array.newBuilder[Int])
+      members.indices.foreach(i => out(members(i)) += i / arity)
+      out.map(_.result())
+    }
   }
 
   object Input {
 
-    /** The input of groups of a fixed `arity`: group g's members are
-      * `members(arity·g until arity·(g+1))` with the aligned Pr(E) values in
-      * `prE`. Each item's group list is in increasing group order, so a
-      * scorer sees an item's probabilities in group order.
+    /** The input of groups of a fixed `arity` over the flat `members` and
+      * `prE`, which it keeps without copying.
       */
     def ofGroups(itemProb: Array[Double], arity: Int, members: Array[Int], prE: Array[Double]): Input = {
       require(arity >= 1 && members.length % arity == 0 && prE.length == members.length,
         s"${members.length} members and ${prE.length} Pr(E) values do not form groups of $arity")
-      val nG         = members.length / arity
-      val groupItems = new Array[Array[Int]](nG)
-      val groupPrE   = new Array[Array[Double]](nG)
-      var g = 0
-      while (g < nG) {
-        groupItems(g) = java.util.Arrays.copyOfRange(members, arity * g, arity * (g + 1))
-        groupPrE(g)   = java.util.Arrays.copyOfRange(prE, arity * g, arity * (g + 1))
-        g += 1
-      }
-      val deg = new Array[Int](itemProb.length) // group counts, then fill cursors
-      var i = 0
-      while (i < members.length) { deg(members(i)) += 1; i += 1 }
-      val itemGroups = new Array[Array[Int]](itemProb.length)
-      i = 0
-      while (i < itemProb.length) { itemGroups(i) = new Array[Int](deg(i)); deg(i) = 0; i += 1 }
-      i = 0
-      while (i < members.length) {
-        val item = members(i)
-        itemGroups(item)(deg(item)) = i / arity
-        deg(item) += 1
-        i += 1
-      }
-      Input(itemProb, groupItems, groupPrE, itemGroups)
+      new Input(itemProb, arity, members, prE)
+    }
+
+    /** The input of nested groups, flattened; `itemGroups` is not read (the
+      * view is derived from `groupItems`). Every group must have one arity
+      * (1 if there are none), and the incidences must fit in an array: both
+      * are checked before anything is allocated.
+      */
+    def apply(itemProb: Array[Double], groupItems: Array[Array[Int]], groupPrE: Array[Array[Double]],
+              itemGroups: Array[Array[Int]]): Input = {
+      val arity = if (groupItems.isEmpty) 1 else groupItems(0).length
+      require(groupPrE.length == groupItems.length &&
+        groupItems.indices.forall(g => groupItems(g).length == arity && groupPrE(g).length == arity),
+        s"the groups and their Pr(E) lists do not all have $arity members")
+      val total = groupItems.length.toLong * arity
+      require(total <= Int.MaxValue, s"$total (group, item) incidences exceed ${Int.MaxValue}")
+      ofGroups(itemProb, arity, groupItems.flatten, groupPrE.flatten)
     }
   }
 
@@ -99,59 +103,46 @@ object ProbPeeling {
     * scorer call, and a binary search plus an O(row) memmove per (dead
     * group, surviving member).
     *
-    * The item→(group, Pr(E)) incidences are derived from `groupItems` as a
-    * CSR (`off`, `eGroup`, `ePrE`) with each item's row in increasing group
-    * order, the order `Input.ofGroups` gives `itemGroups`. Each row keeps its
-    * alive groups as a prefix of length `aliveCnt`, still in group order: a
-    * dead group is shifted out of every other member's prefix. `peel` rejects
-    * more than `Int.MaxValue` incidences and a group that lists an item twice.
+    * The item→(group, Pr(E)) incidences are derived from the flat
+    * `members`/`prE` as a CSR (`off`, `eGroup`, `ePrE`) with each item's row
+    * in increasing group order. Each row keeps its alive groups as a prefix
+    * of length `aliveCnt`, still in group order: a dead group is shifted out
+    * of every other member's prefix. `peel` rejects a group that lists an
+    * item twice.
     */
   def peel(in: Input, theta: Double, scorer: Scorer): Result = {
     require(theta >= 0 && theta <= 1, s"θ must be in [0, 1], got $theta")
-    val n  = in.nItems
-    val nG = in.nGroups
-    var total = 0L
-    var g = 0
-    while (g < nG) { total += in.groupItems(g).length; g += 1 }
-    if (total > Int.MaxValue)
-      throw new IllegalArgumentException(s"$total (group, item) incidences exceed ${Int.MaxValue}")
+    val n       = in.nItems
+    val arity   = in.arity
+    val members = in.members
+    val total   = members.length
 
     // counting pass: row lengths, and stamp(item) = last group seen listing it
     val stamp = new Array[Int](n)
     val off   = new Array[Int](n + 1)
     java.util.Arrays.fill(stamp, -1)
-    g = 0
-    while (g < nG) {
-      val members = in.groupItems(g)
-      var j = 0
-      while (j < members.length) {
-        val item = members(j)
-        if (stamp(item) == g) throw new IllegalArgumentException(s"group $g lists item $item twice")
-        stamp(item) = g
-        off(item + 1) += 1
-        j += 1
-      }
-      g += 1
+    var x = 0
+    while (x < total) {
+      val item = members(x)
+      val g    = x / arity
+      if (stamp(item) == g) throw new IllegalArgumentException(s"group $g lists item $item twice")
+      stamp(item) = g
+      off(item + 1) += 1
+      x += 1
     }
     var i = 0
     while (i < n) { off(i + 1) += off(i); i += 1 }
-    val eGroup   = new Array[Int](total.toInt)
-    val ePrE     = new Array[Double](total.toInt)
+    val eGroup   = new Array[Int](total)
+    val ePrE     = new Array[Double](total)
     val aliveCnt = new Array[Int](n) // fill cursor, then the length of the item's alive prefix
-    g = 0
-    while (g < nG) {
-      val members = in.groupItems(g)
-      val prE     = in.groupPrE(g)
-      var j = 0
-      while (j < members.length) {
-        val item = members(j)
-        val e    = off(item) + aliveCnt(item)
-        eGroup(e) = g
-        ePrE(e)   = prE(j)
-        aliveCnt(item) += 1
-        j += 1
-      }
-      g += 1
+    x = 0
+    while (x < total) {
+      val item = members(x)
+      val e    = off(item) + aliveCnt(item)
+      eGroup(e) = x / arity
+      ePrE(e)   = in.prE(x)
+      aliveCnt(item) += 1
+      x += 1
     }
 
     val processed = new Array[Boolean](n)
@@ -227,10 +218,9 @@ object ProbPeeling {
         var nAffected = 0
         var e = off(item)
         while (e < off(item) + aliveCnt(item)) {
-          val grp     = eGroup(e)
-          val members = in.groupItems(grp)
-          var j = 0
-          while (j < members.length) {
+          val grp = eGroup(e)
+          var j = arity * grp
+          while (j < arity * (grp + 1)) {
             val other = members(j)
             if (other != item) {
               val end = off(other) + aliveCnt(other)

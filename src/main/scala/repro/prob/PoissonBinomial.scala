@@ -56,43 +56,53 @@ object PoissonBinomial {
     k
   }
 
+  /** κ on a fresh [[KappaDp]]: for the tests and AP's rare exact fallback. */
+  def kappaFast(existProb: Double, probs: Array[Double], theta: Double): Int = new KappaDp()(existProb, probs, theta)
+
   /** κ with the paper's O(κ·c) cost: run the DP with the count dimension
     * capped at `cap` (only Pr[ζ = 0..cap−1], which no cap changes, so neither
     * does κ: Pr[ζ ≥ k] = 1 − Σ_{j<k} Pr[ζ = j]). The first cap, `capSeed`,
     * exceeds Cantelli's bound on κ; if κ still reaches the cap, it doubles.
+    * The DP row is one buffer, grown as needed and zeroed up to the cap on
+    * each pass, so a peel scores with one instance and no row per call. An
+    * instance serves one thread.
     */
-  def kappaFast(existProb: Double, probs: Array[Double], theta: Double): Int = {
-    if (existProb < theta) return -1
-    val c = probs.length
-    if (c == 0) return 0
-    var cap  = capSeed(existProb, probs, theta)
-    var best = -1
-    while (best < 0) {
-      // dp(j) = Pr[ζ = j] for j < cap (tail mass ≥ cap is implicit)
-      val dp = new Array[Double](cap)
-      dp(0) = 1.0
-      var i = 0
-      while (i < c) {
-        // k upwards, carrying the previous column's dp(k − 1) in `prev`:
-        // the same products and sums as the downward in-place recurrence
-        val p = probs(i); val q = 1 - p
-        var prev = dp(0)
-        dp(0) = q * prev
-        val top = math.min(i + 1, cap - 1)
-        var k = 1
-        while (k <= top) { val old = dp(k); dp(k) = p * prev + q * old; prev = old; k += 1 }
-        i += 1
+  final class KappaDp extends ((Double, Array[Double], Double) => Int) {
+    private var buf = new Array[Double](0)
+    def apply(existProb: Double, probs: Array[Double], theta: Double): Int = {
+      if (existProb < theta) return -1
+      val c = probs.length
+      if (c == 0) return 0
+      var cap  = capSeed(existProb, probs, theta)
+      var best = -1
+      while (best < 0) {
+        // dp(j) = Pr[ζ = j] for j < cap (tail mass ≥ cap is implicit)
+        if (buf.length < cap) buf = new Array[Double](math.max(cap, 2 * buf.length))
+        val dp = buf
+        java.util.Arrays.fill(dp, 1, cap, 0.0); dp(0) = 1.0
+        var i = 0
+        while (i < c) {
+          // k upwards, carrying the previous column's dp(k − 1) in `prev`:
+          // the same products and sums as the downward in-place recurrence
+          val p = probs(i); val q = 1 - p
+          var prev = dp(0)
+          dp(0) = q * prev
+          val top = math.min(i + 1, cap - 1)
+          var k = 1
+          while (k <= top) { val old = dp(k); dp(k) = p * prev + q * old; prev = old; k += 1 }
+          i += 1
+        }
+        // best = the largest k ≤ cap with existProb·(1 − Pr[ζ < k]) ≥ θ
+        var cdf = 0.0
+        best = 0
+        while (best < cap && { cdf += dp(best); existProb * math.max(0.0, 1.0 - cdf) >= theta }) best += 1
+        if (best == cap && cap < c) { best = -1; cap = math.min(2 * cap, c) } // κ may lie above the cap
       }
-      // best = the largest k ≤ cap with existProb·(1 − Pr[ζ < k]) ≥ θ
-      var cdf = 0.0
-      best = 0
-      while (best < cap && { cdf += dp(best); existProb * math.max(0.0, 1.0 - cdf) >= theta }) best += 1
-      if (best == cap && cap < c) { best = -1; cap = math.min(2 * cap, c) } // κ may lie above the cap
+      best
     }
-    best
   }
 
-  /** The first DP cap of `kappaFast`, at most c. With μ = Σp, σ² = Σp(1−p)
+  /** The first DP cap of [[KappaDp]], at most c. With μ = Σp, σ² = Σp(1−p)
     * and t = θ/existProb, Cantelli's inequality Pr[ζ ≥ μ + a] ≤ σ²/(σ² + a²)
     * gives κ ≤ μ + σ·√(1/t − 1); the seed is that bound rounded down, plus 2
     * for rounding. θ = 0 gives c (κ = c), as does a bound that is NaN (0·∞).

@@ -76,8 +76,8 @@ class BaselineComponentsSpec extends AnyFunSuite {
       }.toArray
       val in = ProbTruss.kernelInput(g)
       assert(bits(in.itemProb).sameElements(bits(edges.map(_._3))), s"$ds: itemProb")
-      assert(in.groupItems.flatten.sameElements(members), s"$ds: members")
-      assert(bits(in.groupPrE.flatten).sameElements(bits(wings)), s"$ds: wings")
+      assert(in.arity == 3 && in.members.sameElements(members), s"$ds: members")
+      assert(bits(in.prE).sameElements(bits(wings)), s"$ds: wings")
     }
   }
 

@@ -93,8 +93,8 @@ class ProbCoreSpec extends AnyFunSuite {
       val prE: Array[Double] = edges.flatMap(e => Array(e._3, e._3))
       val in = ProbCore.kernelInput(g)
       assert(in.itemProb.sameElements(Array.fill(g.n)(1.0)), s"$ds: itemProb")
-      assert(in.groupItems.flatten.sameElements(ends), s"$ds: ends")
-      assert(bits(in.groupPrE.flatten).sameElements(bits(prE)), s"$ds: prE")
+      assert(in.arity == 2 && in.members.sameElements(ends), s"$ds: ends")
+      assert(bits(in.prE).sameElements(bits(prE)), s"$ds: prE")
       val dec = ProbCore.decompose(g, 0.2)
       for (k <- 0 to dec.kMax + 1) {
         val want = edges.filter { case (u, v, _) => dec.coreNumber(u) >= k && dec.coreNumber(v) >= k }

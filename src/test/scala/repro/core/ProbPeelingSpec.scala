@@ -68,8 +68,9 @@ class ProbPeelingSpec extends AnyFunSuite {
       val edges = (for {
         u <- 0 until n; v <- u + 1 until n if rnd.nextDouble() < 0.4
       } yield (u, v))
-      val in  = coreInput(n, edges).copy(
-        groupPrE = edges.map(_ => Array(rnd.nextDouble().max(0.1), rnd.nextDouble().max(0.1))).toArray)
+      val base = coreInput(n, edges)
+      val in   = ProbPeeling.Input.ofGroups(base.itemProb, 2, base.members,
+        edges.flatMap(_ => Seq(rnd.nextDouble().max(0.1), rnd.nextDouble().max(0.1))).toArray)
       val res = ProbPeeling.peel(in, 0.3,
         (p, probs, th) => PoissonBinomial.kappaFast(p, probs, th))
       val nus = res.order.map(res.nu)
@@ -90,15 +91,17 @@ class ProbPeelingSpec extends AnyFunSuite {
     assert(res.order.sorted.toSeq == Seq(0, 1, 2))
   }
 
-  /** The nested input built by hand: group g's slice of the flat arrays,
+  /** The nested arrays built by hand: group g's slice of the flat arrays,
     * and each item's groups found by scanning every group in order.
     */
   private def handBuilt(itemProb: Array[Double], arity: Int, members: Array[Int],
-                        prE: Array[Double]): ProbPeeling.Input = {
+                        prE: Array[Double]): (Array[Array[Int]], Array[Array[Double]], Array[Array[Int]]) = {
     val groups = members.grouped(arity).toArray
-    ProbPeeling.Input(itemProb, groups, prE.grouped(arity).toArray,
+    (groups, prE.grouped(arity).toArray,
       itemProb.indices.map(i => groups.indices.filter(g => groups(g).contains(i)).toArray).toArray)
   }
+
+  private def nested[A](xs: Array[Array[A]]): Seq[Seq[A]] = xs.map(_.toSeq).toSeq
 
   test("ofGroups equals the hand-built nested input at arity 2, 3 and 4") {
     val rnd = new Random(44)
@@ -114,15 +117,34 @@ class ProbPeelingSpec extends AnyFunSuite {
         (es.map(_._3), 3, triEdges, Array.fill(triEdges.length)(rnd.nextDouble())),
         (cs.tris.prob, 4, cs.cliqueTris, cs.cliquePrE))
       for ((itemProb, arity, members, prE) <- cases) {
+        val what = s"trial $trial arity $arity"
         val got  = ProbPeeling.Input.ofGroups(itemProb, arity, members, prE)
-        val want = handBuilt(itemProb, arity, members, prE)
-        assert(got.nGroups > 0, s"trial $trial arity $arity")
-        assert(got.itemProb.toSeq == want.itemProb.toSeq)
-        assert(got.groupItems.map(_.toSeq).toSeq == want.groupItems.map(_.toSeq).toSeq, s"trial $trial arity $arity")
-        assert(got.groupPrE.map(_.toSeq).toSeq == want.groupPrE.map(_.toSeq).toSeq, s"trial $trial arity $arity")
-        assert(got.itemGroups.map(_.toSeq).toSeq == want.itemGroups.map(_.toSeq).toSeq, s"trial $trial arity $arity")
+        val (groupItems, groupPrE, itemGroups) = handBuilt(itemProb, arity, members, prE)
+        assert(got.nGroups > 0, what)
+        assert((got.itemProb eq itemProb) && (got.members eq members) && (got.prE eq prE), what)
+        assert(nested(got.groupItems) == nested(groupItems), what)
+        assert(nested(got.groupPrE) == nested(groupPrE), what)
+        assert(nested(got.itemGroups) == nested(itemGroups), what)
+        // the nested apply flattens the same groups back to the same input
+        val back = ProbPeeling.Input(itemProb, groupItems, groupPrE, itemGroups)
+        assert(back.arity == arity && back.members.sameElements(members) && back.prE.sameElements(prE), what)
       }
-      assert(LocalNucleus.kernelInput(cs).itemGroups.map(_.toSeq).toSeq == cs.triCliques.map(_.toSeq).toSeq)
+      val in = LocalNucleus.kernelInput(cs)
+      assert((in.members eq cs.cliqueTris) && (in.prE eq cs.cliquePrE))
+      assert(nested(in.itemGroups) == nested(cs.triCliques))
+    }
+  }
+
+  test("peel leaves the input's members and Pr(E) arrays unchanged: ℓ, truss, core and random inputs") {
+    val rnd = new Random(45)
+    val g   = GraphGen.dataset("krogan")
+    val inputs = Seq(LocalNucleus.kernelInput(FourCliques.build(g)), ProbTruss.kernelInput(g), ProbCore.kernelInput(g)) ++
+      (2 to 4).map(ReferencePeelSpec.highSupportInput(rnd, _))
+    for (in <- inputs; theta <- Seq(0.1, 0.3)) {
+      val (members, prE, itemProb) = (in.members.clone(), in.prE.clone(), in.itemProb.clone())
+      ProbPeeling.peel(in, theta, new PoissonBinomial.KappaDp)
+      assert(in.members.sameElements(members), s"arity ${in.arity} θ=$theta: members")
+      assert(in.prE.sameElements(prE) && in.itemProb.sameElements(itemProb), s"arity ${in.arity} θ=$theta: probabilities")
     }
   }
 
@@ -135,13 +157,25 @@ class ProbPeelingSpec extends AnyFunSuite {
   }
 
   test("peel rejects more than Int.MaxValue (group, item) incidences before allocating") {
+    // the nested Input that would feed it already throws, before flattening
     val members = Array.range(0, 32768)
     val prE     = Array.fill(32768)(0.5)
     // 70,000 groups share one 32,768-member array: 2.29e9 incidences, no large allocation
-    val in = ProbPeeling.Input(Array.fill(32768)(1.0), Array.fill(70000)(members), Array.fill(70000)(prE),
-      Array.fill(32768)(Array.emptyIntArray))
-    val err = intercept[IllegalArgumentException](ProbPeeling.peel(in, 0.5, countScorer))
+    val err = intercept[IllegalArgumentException](ProbPeeling.Input(Array.fill(32768)(1.0),
+      Array.fill(70000)(members), Array.fill(70000)(prE), Array.fill(32768)(Array.emptyIntArray)))
     assert(err.getMessage.contains("2293760000"))
+  }
+
+  test("the nested Input rejects groups of mixed arity and misaligned Pr(E) lists") {
+    val one = Array.fill(3)(1.0)
+    val none = Array.fill(3)(Array.emptyIntArray)
+    intercept[IllegalArgumentException](
+      ProbPeeling.Input(one, Array(Array(0, 1), Array(0, 1, 2)), Array(Array(1.0, 1.0), Array(1.0, 1.0, 1.0)), none))
+    intercept[IllegalArgumentException](
+      ProbPeeling.Input(one, Array(Array(0, 1, 2), Array(0, 1)), Array(Array(1.0, 1.0, 1.0), Array(1.0, 1.0)), none))
+    intercept[IllegalArgumentException](ProbPeeling.Input(one, Array(Array(0, 1)), Array(Array(1.0)), none))
+    intercept[IllegalArgumentException](ProbPeeling.Input(one, Array(Array(0, 1)), Array.empty, none))
+    intercept[IllegalArgumentException](ProbPeeling.Input(one, Array(Array.emptyIntArray), Array(Array.emptyDoubleArray), none))
   }
 
   test("peel rejects a group that lists the same item twice") {

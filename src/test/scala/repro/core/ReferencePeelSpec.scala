@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.baseline.{ProbCore, ProbTruss}
 import repro.cliques.FourCliques
 import repro.graph.GraphGen
-import repro.prob.{Approximations, PoissonBinomial}
+import repro.prob.{Approximations, PoissonBinomial, ReferenceKappa}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -17,19 +17,28 @@ import scala.util.Random
 class ReferencePeelSpec extends AnyFunSuite {
   import ReferencePeelSpec._
 
-  private val scorers: Seq[(String, ProbPeeling.Scorer)] = Seq(
-    "count"     -> ((_, probs, _) => probs.length),
-    "kappaFast" -> PoissonBinomial.kappaFast,
-    "kappaAuto" -> (Approximations.kappaAuto(_, _, _)))
+  /** Per run, the flat kernel's scorer and the nested reference's: DP pits
+    * one `KappaDp` per peel, as the decompositions score, against the
+    * cap-doubling `ReferenceKappa`.
+    */
+  private val scorers: Seq[(String, () => (ProbPeeling.Scorer, ProbPeeling.Scorer))] = Seq(
+    "count" -> (() => { val s: ProbPeeling.Scorer = (_, probs, _) => probs.length; (s, s) }),
+    "DP"    -> (() => (new PoissonBinomial.KappaDp, ReferenceKappa.kappa(_, _, _))),
+    "AP"    -> (() => (Approximations.kappaAuto(_, _, _), Approximations.kappaAuto(_, _, _))))
   private val thetas = Seq(0.1, 0.2, 0.3)
 
-  private def assertSameRun(what: String, in: ProbPeeling.Input, theta: Double, scorer: ProbPeeling.Scorer): Unit = {
-    val (flat, nested) = (new Tracing(scorer), new Tracing(scorer))
+  /** `keep = false` compares the scorer traces by their hashes only, for
+    * inputs whose traces are too large to hold.
+    */
+  private def assertSameRun(what: String, in: ProbPeeling.Input, theta: Double,
+                            scorer: () => (ProbPeeling.Scorer, ProbPeeling.Scorer), keep: Boolean = true): Unit = {
+    val (flatScorer, nestedScorer) = scorer()
+    val (flat, nested) = (new Tracing(flatScorer, keep), new Tracing(nestedScorer, keep))
     val got  = ProbPeeling.peel(in, theta, flat)
     val want = ReferencePeel.peel(in, theta, nested)
     val (a, b) = (flat.trace.result(), nested.trace.result())
-    assert(java.util.Arrays.equals(a, b),
-      s"$what: scorer traces differ (lengths ${a.length}, ${b.length}; first difference at ${java.util.Arrays.mismatch(a, b)})")
+    assert(java.util.Arrays.equals(a, b) && (flat.calls, flat.hash) == ((nested.calls, nested.hash)),
+      s"$what: scorer traces differ (${flat.calls} and ${nested.calls} calls; first difference at ${java.util.Arrays.mismatch(a, b)})")
     assert(got.nu.sameElements(want.nu), what)
     assert(got.order.sameElements(want.order), what)
     assert(got.initialKappa.sameElements(want.initialKappa), what)
@@ -74,27 +83,42 @@ class ReferencePeelSpec extends AnyFunSuite {
     }
   }
 
+  private def assertSameOnStandIn(ds: String, keep: Boolean): Unit = {
+    val g = GraphGen.dataset(ds)
+    val inputs = Seq(
+      "ℓ"     -> LocalNucleus.kernelInput(FourCliques.build(g)),
+      "truss" -> ProbTruss.kernelInput(g),
+      "core"  -> ProbCore.kernelInput(g))
+    for ((kind, in) <- inputs; (name, scorer) <- scorers; theta <- thetas)
+      assertSameRun(s"$ds $kind $name θ=$theta", in, theta, scorer, keep)
+  }
+
   test("flat and nested kernels: identical on the ℓ, truss and core inputs of the six Table 1/2 stand-ins") {
-    for (ds <- GraphGen.paperDatasets) {
-      val g = GraphGen.dataset(ds)
-      val inputs = Seq(
-        "ℓ"     -> LocalNucleus.kernelInput(FourCliques.build(g)),
-        "truss" -> ProbTruss.kernelInput(g),
-        "core"  -> ProbCore.kernelInput(g))
-      for ((kind, in) <- inputs; (name, scorer) <- scorers; theta <- thetas)
-        assertSameRun(s"$ds $kind $name θ=$theta", in, theta, scorer)
-    }
+    GraphGen.paperDatasets.foreach(assertSameOnStandIn(_, keep = true))
+  }
+
+  test("flat and nested kernels: identical on the ℓ, truss and core inputs of the pokec_Normal, pokec_Pareto and enwiki stand-ins") {
+    Seq("pokec_Normal", "pokec_Pareto", "enwiki").foreach(assertSameOnStandIn(_, keep = false))
   }
 }
 
 object ReferencePeelSpec {
 
-  /** Records each call as (itemProb, θ, length, probs...) and delegates. */
-  final class Tracing(base: ProbPeeling.Scorer) extends ((Double, Array[Double], Double) => Int) {
+  /** Records each call as (itemProb, θ, length, probs...) if `keep`, folds
+    * the same words into a 64-bit FNV-1a-style hash of their raw bits, and
+    * delegates. For a fixed rest of the trace the hash is a bijection of
+    * each word, so two traces that differ in one word never hash alike.
+    */
+  final class Tracing(base: ProbPeeling.Scorer, keep: Boolean = true) extends ((Double, Array[Double], Double) => Int) {
     val trace = mutable.ArrayBuilder.make[Double]
+    var hash  = 0xcbf29ce484222325L
     var calls = 0L
+    private def mix(bits: Long): Unit = hash = (hash ^ bits) * 0x100000001b3L
     def apply(p: Double, probs: Array[Double], theta: Double): Int = {
-      trace += p; trace += theta; trace += probs.length; trace.addAll(probs)
+      if (keep) { trace += p; trace += theta; trace += probs.length; trace.addAll(probs) }
+      mix(java.lang.Double.doubleToRawLongBits(p)); mix(java.lang.Double.doubleToRawLongBits(theta)); mix(probs.length)
+      var i = 0
+      while (i < probs.length) { mix(java.lang.Double.doubleToRawLongBits(probs(i))); i += 1 }
       calls += 1
       base(p, probs, theta)
     }

@@ -95,9 +95,10 @@ object ReferenceWorlds {
                  (credited: Array[Boolean] => Array[Boolean]): Array[Int] = {
     val counts = new Array[Int](ws.cs.nTriangles)
     val rnd    = new Random(seed)
+    val edges  = ws.graph.edges
     var s = 0
     while (s < nSamples) {
-      val hit = credited(sampleMask(ws.edges, rnd))
+      val hit = credited(sampleMask(edges, rnd))
       var t = 0
       while (t < counts.length) { if (hit(t)) counts(t) += 1; t += 1 }
       s += 1

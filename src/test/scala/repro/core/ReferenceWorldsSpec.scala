@@ -92,11 +92,12 @@ class ReferenceWorldsSpec extends AnyFunSuite {
       }
       val ws  = new DetNucleus.WorldStructure(ProbGraph(es))
       val lab = ws.graph.labels
-      val m   = ws.edges.length
+      val wes = ws.graph.edges
+      val m   = wes.length
       // on the two K5s, also the world of two disjoint K4s: 0..3 and 10..13
       val twoK4s = sideA.map { inA =>
         Array.tabulate(m) { e =>
-          val (a, b) = (lab(ws.edges(e)._1), lab(ws.edges(e)._2))
+          val (a, b) = (lab(wes(e)._1), lab(wes(e)._2))
           inA(a) == inA(b) && a % 10 < 4 && b % 10 < 4
         }
       }
@@ -114,8 +115,8 @@ class ReferenceWorldsSpec extends AnyFunSuite {
         if (k == 0 && ReferenceWorlds.levelSet(ws, mask, 1).forall(!_)) cliqueFree += 1
         // two disjoint k-nuclei with no bridge between them fail connectivity alone
         sideA.foreach { inA =>
-          val side = (a: Boolean) => Array.tabulate(m)(e => mask(e) && inA(lab(ws.edges(e)._1)) == a && inA(lab(ws.edges(e)._2)) == a)
-          val bridged = (0 until m).exists(e => mask(e) && inA(lab(ws.edges(e)._1)) != inA(lab(ws.edges(e)._2)))
+          val side = (a: Boolean) => Array.tabulate(m)(e => mask(e) && inA(lab(wes(e)._1)) == a && inA(lab(wes(e)._2)) == a)
+          val bridged = (0 until m).exists(e => mask(e) && inA(lab(wes(e)._1)) != inA(lab(wes(e)._2)))
           if (!bridged && ReferenceWorlds.isKNucleus(ws, side(true), k) && ReferenceWorlds.isKNucleus(ws, side(false), k)) {
             assert(!want, s"trial $trial k=$k: two disjoint nuclei are not s-connected")
             connectivityOnly += 1

@@ -120,6 +120,31 @@ class PoissonBinomialSpec extends AnyFunSuite {
         s"${probs.mkString(",")} θ=$th existProb=$ex")
   }
 
+  test("one reused KappaDp equals fresh kappaFast and ReferenceKappa over a call sequence that grows and reuses its buffer") {
+    val rnd    = new Random(10)
+    val scorer = new PoissonBinomial.KappaDp
+    def row(c: Int) = Array.fill(c)(rnd.nextInt(4) match { case 0 => 0.0; case 1 => 1.0; case _ => rnd.nextDouble() })
+    def theta()     = rnd.nextInt(6) match { case 0 => 0.0; case 1 => 1.0; case _ => rnd.nextDouble() }
+    // caps that keep rising grow the buffer; a c = 300 call at θ = 0 fills
+    // it to 300, so the small calls after it find stale entries above their cap
+    val growing = (2 to 300 by 7).map(c => (1.0, row(c), 0.0))
+    val mixed = Seq.fill(3000) {
+      val c  = if (rnd.nextInt(8) == 0) 250 + rnd.nextInt(51) else rnd.nextInt(40)
+      val th = theta()
+      (if (rnd.nextBoolean()) th else rnd.nextDouble(), row(c), th)
+    }
+    val calls = growing ++ Seq((1.0, Array.fill(300)(0.9), 0.0)) ++ Seq.fill(50)((1.0, row(1 + rnd.nextInt(20)), 0.05)) ++ mixed
+    var (maxCap, grew, staleCalls) = (0, 0, 0)
+    for ((ex, probs, th) <- calls) {
+      val cap = if (ex < th || probs.isEmpty) 0 else PoissonBinomial.capSeed(ex, probs, th)
+      if (cap > maxCap) { maxCap = cap; grew += 1 } else if (cap > 0 && cap < maxCap) staleCalls += 1
+      val k = scorer(ex, probs, th)
+      assert(k == PoissonBinomial.kappaFast(ex, probs, th) && k == ReferenceKappa.kappa(ex, probs, th),
+        s"c=${probs.length} θ=$th existProb=$ex")
+    }
+    assert(maxCap == 300 && grew >= 10 && staleCalls >= 1000, s"max cap $maxCap, $grew growths, $staleCalls stale calls")
+  }
+
   test("kappaFast equals ReferenceKappa on every ℓ scorer call of the six Table 1/2 stand-ins (initial rows and rescorings)") {
     var calls = 0L
     for (ds <- GraphGen.paperDatasets) {
