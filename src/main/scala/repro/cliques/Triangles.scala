@@ -106,11 +106,12 @@ object Triangles {
       var t = 0
       while (t < tris.size) {
         val s = tris.slots(3 * t)
-        require(t == 0 || s >= tris.slots(3 * t - 3), s"triangle $t is out of lexicographic order")
+        // a test, not `require`: its message thunk would be allocated per triangle
+        if (t > 0 && s < tris.slots(3 * t - 3)) throw new IllegalArgumentException(s"triangle $t is out of lexicographic order")
         start(s + 1) += 1; t += 1
       }
+      var s = 0; while (s < g.adj.length) { start(s + 1) += start(s); s += 1 }
     }
-    for (s <- 0 until g.adj.length) start(s + 1) += start(s)
 
     /** Id of triangle (u, v, w) with u < v < w, where `slot` = `g.slot(u, v)`; negative if absent. */
     def at(slot: Int, w: Int): Int = java.util.Arrays.binarySearch(tris.w, start(slot), start(slot + 1), w)

@@ -25,12 +25,7 @@ package repro.core
   */
 object ProbPeeling {
 
-  /** κ-scorer: (itemExistProb, alive group probabilities, θ) → κ ∈ [-1, c].
-    * The probabilities come as an exact-length array in group order that is
-    * valid only during the call: `peel` refills it for later calls, so a
-    * scorer must not keep it (copy what it needs).
-    */
-  type Scorer = (Double, Array[Double], Double) => Int
+  type Scorer = repro.prob.Scorer // defined in `prob`, which then needs nothing of this package
 
   /** The item/group hypergraph, flat: group g's members are
     * `members(arity·g until arity·(g+1))` with the aligned Pr(E) values in
@@ -99,22 +94,23 @@ object ProbPeeling {
   /** Run the peeling to completion. O(Σ κ·c) rescoring cost with a bucket
     * queue and lazy deletion, matching the paper's complexity analysis
     * (Batagelj–Zaveršnik bucket peeling). The bookkeeping is O(1) per queue
-    * entry, a copy of the alive row into a reused buffer of its length per
-    * scorer call, and a binary search plus an O(row) memmove per (dead
+    * entry, a gather of the alive row into a reused buffer of its length
+    * per scorer call, and a binary search plus one O(row) memmove per (dead
     * group, surviving member).
     *
-    * The item→(group, Pr(E)) incidences are derived from the flat
-    * `members`/`prE` as a CSR (`off`, `eGroup`, `ePrE`) with each item's row
-    * in increasing group order. Each row keeps its alive groups as a prefix
-    * of length `aliveCnt`, still in group order: a dead group is shifted out
-    * of every other member's prefix. `peel` rejects a group that lists an
-    * item twice.
+    * The item→group incidences are a CSR (`off`, `eAt`) over positions in
+    * the flat `members`/`prE`: entry x is group x / arity with Pr(E)
+    * `prE(x)`, and each item's row is in increasing x, so in group order.
+    * Each row keeps its alive groups as a prefix of length `aliveCnt`, still
+    * in group order: a dead group is shifted out of every other member's
+    * prefix. `peel` rejects a group that lists an item twice.
     */
   def peel(in: Input, theta: Double, scorer: Scorer): Result = {
     require(theta >= 0 && theta <= 1, s"θ must be in [0, 1], got $theta")
     val n       = in.nItems
     val arity   = in.arity
     val members = in.members
+    val prE     = in.prE
     val total   = members.length
 
     // counting pass: row lengths, and stamp(item) = last group seen listing it
@@ -132,15 +128,12 @@ object ProbPeeling {
     }
     var i = 0
     while (i < n) { off(i + 1) += off(i); i += 1 }
-    val eGroup   = new Array[Int](total)
-    val ePrE     = new Array[Double](total)
-    val aliveCnt = new Array[Int](n) // fill cursor, then the length of the item's alive prefix
+    val eAt      = new Array[Int](total) // the item's positions x in members/prE
+    val aliveCnt = new Array[Int](n)     // fill cursor, then the length of the item's alive prefix
     x = 0
     while (x < total) {
       val item = members(x)
-      val e    = off(item) + aliveCnt(item)
-      eGroup(e) = x / arity
-      ePrE(e)   = in.prE(x)
+      eAt(off(item) + aliveCnt(item)) = x
       aliveCnt(item) += 1
       x += 1
     }
@@ -160,8 +153,10 @@ object ProbPeeling {
     def aliveRow(item: Int): Array[Double] = {
       val c = aliveCnt(item)
       if (rows(c) == null) rows(c) = new Array[Double](c)
-      System.arraycopy(ePrE, off(item), rows(c), 0, c)
-      rows(c)
+      val row = rows(c); val from = off(item)
+      var k = 0
+      while (k < c) { row(k) = prE(eAt(from + k)); k += 1 }
+      row
     }
 
     var maxK = 0
@@ -218,15 +213,14 @@ object ProbPeeling {
         var nAffected = 0
         var e = off(item)
         while (e < off(item) + aliveCnt(item)) {
-          val grp = eGroup(e)
+          val grp = eAt(e) / arity
           var j = arity * grp
           while (j < arity * (grp + 1)) {
             val other = members(j)
-            if (other != item) {
+            if (other != item) { // other's entry for this group is its position j
               val end = off(other) + aliveCnt(other)
-              val at  = java.util.Arrays.binarySearch(eGroup, off(other), end, grp)
-              System.arraycopy(eGroup, at + 1, eGroup, at, end - at - 1)
-              System.arraycopy(ePrE, at + 1, ePrE, at, end - at - 1)
+              val at  = java.util.Arrays.binarySearch(eAt, off(other), end, j)
+              System.arraycopy(eAt, at + 1, eAt, at, end - at - 1)
               aliveCnt(other) -= 1
               if (kappa(other) > kappa(item) && stamp(other) != item) {
                 stamp(other) = item

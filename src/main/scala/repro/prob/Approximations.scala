@@ -77,10 +77,10 @@ object Approximations {
     *
     * The walks stay in this one method on purpose: it is past HotSpot's
     * hot-method inlining size, so [[kappaAuto]] compiles small and inlines
-    * into the peeling kernel's scorer call, whose boxed arguments are then
-    * never allocated. With one small method per walk the whole chain
-    * inlined into the AP scorer, the kernel stopped inlining it, and an
-    * enwiki-stand-in pass allocated ~7% more.
+    * into the peeling kernel's scorer call. With one small method per walk
+    * the whole chain inlined into the AP scorer, the kernel stopped inlining
+    * it, and an enwiki-stand-in pass allocated ~7% more (measured while the
+    * scorer was a `Function3` with boxed arguments; [[Scorer]] boxes none).
     */
   private def walk(m: Method, existProb: Double, probs: Array[Double], c: Int, mu: Double,
                    sigma2: Double, theta: Double): Int = m match {

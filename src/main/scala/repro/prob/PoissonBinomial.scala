@@ -64,10 +64,10 @@ object PoissonBinomial {
     * does κ: Pr[ζ ≥ k] = 1 − Σ_{j<k} Pr[ζ = j]). The first cap, `capSeed`,
     * exceeds Cantelli's bound on κ; if κ still reaches the cap, it doubles.
     * The DP row is one buffer, grown as needed and zeroed up to the cap on
-    * each pass, so a peel scores with one instance and no row per call. An
-    * instance serves one thread.
+    * each pass, so a peel scores with one instance (a [[Scorer]]) and no row
+    * per call. An instance serves one thread.
     */
-  final class KappaDp extends ((Double, Array[Double], Double) => Int) {
+  final class KappaDp extends Scorer {
     private var buf = new Array[Double](0)
     def apply(existProb: Double, probs: Array[Double], theta: Double): Int = {
       if (existProb < theta) return -1

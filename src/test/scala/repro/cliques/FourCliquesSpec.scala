@@ -150,6 +150,24 @@ class FourCliquesSpec extends AnyFunSuite {
     assert(wBothSides > 0, "no clique's w had neighbours on both sides")
   }
 
+  test("build allocates its exact arrays and the triangle listing, and nothing that grows") {
+    import repro.Allocation.{array, measure}
+    for (ds <- Seq("krogan", "biomine")) {
+      val g = GraphGen.dataset(ds)
+      FourCliques.build(g) // class loading and first-use set-up
+      val (tris, listing) = measure(Triangles.enumerate(g))
+      val (cs, bytes)     = measure(FourCliques.build(g))
+      val (t, c4) = (tris.size.toLong, 4L * cs.nCliques)
+      val own =
+        4 * array(4, g.n) + array(4, g.adj.length + 1) + array(4, t) + // upper starts, slot and block marks; Index; triDeg
+          array(4, c4) + array(8, c4) +                               // cliqueTris, cliquePrE
+          array(8, t) + cs.triCliques.map(a => array(4, a.length)).sum
+      val bound = listing + own + 64 * 1024
+      assert(bytes <= bound, s"$ds: build allocated $bytes bytes; the listing and its arrays take at most $bound")
+      assert(bytes >= listing + array(4, c4) - 1024, s"$ds: the measured build is too small to be the build")
+    }
+  }
+
   test("planted 6-clique yields expected counts in sparse background") {
     val g  = GraphGen.graph(GraphGen.Spec(100, 0, Seq(6), GraphGen.UniformDist(), seed = 1, overlapFraction = 0))
     val cs = FourCliques.build(g)

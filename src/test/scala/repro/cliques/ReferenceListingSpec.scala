@@ -64,7 +64,15 @@ class ReferenceListingSpec extends AnyFunSuite {
     assert(Triangles.grownCapacity(64, 1000, "x") == 128)
     assert(Triangles.grownCapacity(600, 1000, "x") == 1000)
     assert(Triangles.grownCapacity(Int.MaxValue / 2 + 1, Int.MaxValue, "x") == Int.MaxValue)
-    val e = intercept[IllegalArgumentException](Triangles.grownCapacity(1000, 1000, "4-cliques"))
-    assert(e.getMessage.contains("4-cliques"))
+    val e = intercept[IllegalArgumentException](Triangles.grownCapacity(1000, 1000, "triangles"))
+    assert(e.getMessage.contains("triangles"))
+  }
+
+  test("the 4-clique count fails loudly past MaxCliques, before the arrays are allocated") {
+    FourCliques.requireCliques(FourCliques.MaxCliques.toLong)
+    for (count <- Seq(FourCliques.MaxCliques.toLong + 1, Int.MaxValue.toLong, 1L << 40)) {
+      val e = intercept[IllegalArgumentException](FourCliques.requireCliques(count))
+      assert(e.getMessage.contains("4-cliques") && e.getMessage.contains(count.toString))
+    }
   }
 }

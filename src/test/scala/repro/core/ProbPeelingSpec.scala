@@ -228,6 +228,34 @@ class ProbPeelingSpec extends AnyFunSuite {
     assert(stale > 0) // the bound is not vacuous
   }
 
+  test("a peel with a fresh KappaDp allocates its own arrays and a constant, however many scorer calls it makes") {
+    val in = LocalNucleus.kernelInput(FourCliques.build(GraphGen.dataset("biomine")))
+    val (n, total) = (in.nItems, in.members.length)
+    val maxRow = in.members.groupBy(identity).values.map(_.length).max
+    // class loading and first-use set-up on a tiny peel; the JIT stays cold
+    ProbPeeling.peel(coreInput(3, Seq((0, 1), (1, 2), (0, 2))), 0.5, new PoissonBinomial.KappaDp)
+    for (theta <- Seq(0.1, 0.3)) {
+      val (res, bytes) = repro.Allocation.measure(ProbPeeling.peel(in, theta, new PoissonBinomial.KappaDp))
+      val (rescorings, decreases, _) = replay(in, theta, PoissonBinomial.kappaFast, res)
+      assert(res.rescorings == rescorings)
+      import repro.Allocation.array
+      val buckets = math.max(0, res.initialKappa.max) + 2
+      val own =
+        6 * array(4, n + 1) + array(1, n) + array(4, total) +          // stamp, off, aliveCnt, κ, ν, order; processed; the CSR
+          array(8, maxRow + 1) + (0 to maxRow).map(array(8, _)).sum + // the row buffers
+          array(4, n + 1) + 3 * array(4, buckets) + array(8, buckets) + // initial κ; bucket counts, heads, tails
+          4L * n + 32L * buckets + array(4, n) +                      // the buckets as first sized; affected
+          2 * array(8, 2L * maxRow)                                   // KappaDp's row, grown by doubling
+      // a bucket grows only when full, doubling to under 4× the entries pushed
+      // into it, so its arrays total under 8 ints per entry; entries = n + κ decreases
+      val queue = 32L * (n + decreases) + 64L * buckets
+      val bound = own + queue + 64 * 1024
+      val calls = n + res.rescorings
+      assert(bytes <= bound, s"θ=$theta: the peel allocated $bytes bytes over $calls scorer calls; its arrays take at most $bound")
+      assert(queue + 64 * 1024 < 32 * calls, s"θ=$theta: the bound would not catch two boxed Doubles per call")
+    }
+  }
+
   test("peeling rejects θ that is NaN or outside [0, 1]: ℓ DP, ℓ AP, truss and core") {
     val k4 = ProbGraph(for (u <- 0L until 4L; v <- u + 1 until 4L) yield (u, v, 0.9))
     for (theta <- Seq(Double.NaN, -0.5, 1.5)) {

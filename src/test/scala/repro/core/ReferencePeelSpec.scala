@@ -109,7 +109,7 @@ object ReferencePeelSpec {
     * delegates. For a fixed rest of the trace the hash is a bijection of
     * each word, so two traces that differ in one word never hash alike.
     */
-  final class Tracing(base: ProbPeeling.Scorer, keep: Boolean = true) extends ((Double, Array[Double], Double) => Int) {
+  final class Tracing(base: ProbPeeling.Scorer, keep: Boolean = true) extends ProbPeeling.Scorer {
     val trace = mutable.ArrayBuilder.make[Double]
     var hash  = 0xcbf29ce484222325L
     var calls = 0L
