@@ -11,15 +11,16 @@ import repro.graph.ProbGraph
 object DetNucleus {
 
   /** The clique structure of a graph `graph`, built once, over which a
-    * possible world is an edge mask in `graph.edges` order (the §6 space
-    * note: a world is a bit per edge). A triangle is alive in a world iff its
-    * 3 edges are present, a 4-clique iff its 4 member triangles are alive.
+    * batch of up to 64 possible worlds is one `Long` per edge in
+    * `graph.edges` order, world w in bit w (the §6 space note: a world is a
+    * bit per edge). A triangle is alive in a world iff its 3 edges are, a
+    * 4-clique iff its 4 member triangles are.
     *
-    * It also holds one world's scratch, built once and reused by every
-    * world call on it ([[isKNucleus]], [[levelSet]]): `mask` for the sampler
-    * to fill, and the per-triangle, per-clique and per-edge buffers of the
-    * checks. A buffer a call returns is valid only until the next world call
-    * on the same structure, and one structure serves one thread.
+    * It also holds one batch's words, allocated once and reused by every
+    * batch: `edgeW` for the sampler to fill, the alive words `triW` and
+    * `cliqueW` that [[setAlive]] sets from it, and the checks' scratch. The
+    * two world checks are stated here once, over a whole batch: [[nuclei]]
+    * (g) and [[prune]] (w). One structure serves one thread.
     */
   final class WorldStructure(val graph: ProbGraph) {
     /** Pr(e) in `graph.edges` order: what each world draws against. */
@@ -28,37 +29,122 @@ object DetNucleus {
     /** Flat, 3 edge ids per triangle. */
     val triEdges: Array[Int] = Triangles.edgeIds(graph, cs.tris)
 
-    /** A world's edge mask, for the sampler to fill. */
-    val mask: Array[Boolean] = new Array[Boolean](graph.m)
-    /** The last world's triangles: all alive ones after [[isKNucleus]], the
-      * level-k survivors after [[levelSet]].
-      */
-    private[core] val alive   = new Array[Boolean](cs.nTriangles)
-    private[core] val clique  = new Array[Boolean](cs.nCliques)
-    private[core] val support = new Array[Int](cs.nTriangles)
-    private[core] val covered = new Array[Boolean](graph.m)
-    /** Each triangle is pushed at most once per world, so one slot each. */
-    private[core] val stack   = new Array[Int](cs.nTriangles)
-    private[core] val seen    = new Array[Boolean](cs.nTriangles)
+    private[core] val edgeW   = new Array[Long](graph.m)
+    /** After [[prune]], the level-k survivors. */
+    private[core] val triW    = new Array[Long](cs.nTriangles)
+    private[this] val cliqueW = new Array[Long](cs.nCliques)
+    /** g's s-connectivity: the worlds in which each triangle is reached. */
+    private[this] val reach   = new Array[Long](cs.nTriangles)
+    /** Saturating counter planes: `ge(i)`, the worlds with more than i of the words seen. */
+    private[this] val ge      = new Array[Long](cs.triCliques.foldLeft(0)(_ max _.length))
+    private[this] val ct      = cs.cliqueTris
 
-    /** One pass sets the world `m`'s alive triangles, alive cliques and
-      * each triangle's alive-clique support.
-      */
-    private[core] def fill(m: Array[Boolean]): Unit = {
+    /** Sets each triangle's word to the AND of its 3 edges', each clique's to that of its 4 triangles'. */
+    private[core] def setAlive(): Unit = {
       var t = 0
-      while (t < cs.nTriangles) {
-        alive(t) = m(triEdges(3 * t)) && m(triEdges(3 * t + 1)) && m(triEdges(3 * t + 2))
-        support(t) = 0
+      while (t < triW.length) {
+        triW(t) = edgeW(triEdges(3 * t)) & edgeW(triEdges(3 * t + 1)) & edgeW(triEdges(3 * t + 2)); t += 1
+      }
+      var c = 0
+      while (c < cliqueW.length) {
+        cliqueW(c) = triW(ct(4 * c)) & triW(ct(4 * c + 1)) & triW(ct(4 * c + 2)) & triW(ct(4 * c + 3)); c += 1
+      }
+    }
+
+    /** The worlds in which at least k of triangle t's cliques are alive:
+      * all for k ≤ 0, none for k above its clique count.
+      */
+    private def atLeast(t: Int, k: Int): Long = {
+      val cl = cs.triCliques(t)
+      if (k <= 0) return -1L
+      if (k > cl.length) return 0L
+      java.util.Arrays.fill(ge, 0, k, 0L)
+      var j = 0
+      while (j < cl.length) {
+        val x = cliqueW(cl(j))
+        var i = math.min(j, k - 1)
+        while (i > 0) { ge(i) |= ge(i - 1) & x; i -= 1 }
+        ge(0) |= x
+        j += 1
+      }
+      ge(k - 1)
+    }
+
+    /** The worlds of `valid` in this batch that are deterministic k-nuclei.
+      * Definition 3: a world is one iff it has a 4-clique, (1) every present
+      * edge lies in a 4-clique (it is a union of 4-cliques), (2) every alive
+      * triangle has 4-clique support ≥ k, and (3) the triangles of its
+      * 4-cliques are s-connected (share-a-4-clique connectivity). Each check
+      * clears the worlds that fail it, all at once; they run cheapest first
+      * and stop when no world is left. All are conjunctions, so the order
+      * does not change the answer. Consumes `edgeW`.
+      */
+    private[core] def nuclei(valid: Long, k: Int): Long = {
+      var ok = valid
+      // (2)
+      var t = 0
+      while (t < triW.length && ok != 0L) { ok &= ~triW(t) | atLeast(t, k); t += 1 }
+      if (ok == 0L) return 0L
+      // (1): an edge is covered in the worlds where one of its triangles is in a 4-clique
+      t = 0
+      while (t < triW.length) {
+        val cl = cs.triCliques(t)
+        var inClique = 0L; var j = 0
+        while (j < cl.length) { inClique |= cliqueW(cl(j)); j += 1 }
+        j = 3 * t
+        while (j < 3 * t + 3) { edgeW(triEdges(j)) &= ~inClique; j += 1 }
         t += 1
       }
-      val ct = cs.cliqueTris
+      var e = 0
+      while (e < edgeW.length) { ok &= ~edgeW(e); e += 1 }
+      if (ok == 0L) return 0L
+      // a 4-clique, and (3): each world is seeded at its first alive clique, reach
+      // spreads over alive cliques until a pass adds nothing, and every alive
+      // clique must be reached
+      java.util.Arrays.fill(reach, 0L)
+      var seen = 0L; var spread = true
+      while (spread) {
+        spread = false
+        var c = 0
+        while (c < cliqueW.length) {
+          val a = ct(4 * c); val b = ct(4 * c + 1); val d = ct(4 * c + 2); val f = ct(4 * c + 3)
+          val r = (reach(a) | reach(b) | reach(d) | reach(f) | ~seen) & cliqueW(c)
+          seen |= cliqueW(c)
+          if ((r & ~(reach(a) & reach(b) & reach(d) & reach(f))) != 0L) {
+            reach(a) |= r; reach(b) |= r; reach(d) |= r; reach(f) |= r
+            spread = true
+          }
+          c += 1
+        }
+      }
       var c = 0
-      while (c < cs.nCliques) {
-        val a = ct(4 * c); val b = ct(4 * c + 1); val d = ct(4 * c + 2); val e = ct(4 * c + 3)
-        val on = alive(a) && alive(b) && alive(d) && alive(e)
-        clique(c) = on
-        if (on) { support(a) += 1; support(b) += 1; support(d) += 1; support(e) += 1 }
-        c += 1
+      while (c < cliqueW.length) { ok &= ~cliqueW(c) | reach(ct(4 * c)); c += 1 }
+      ok & seen
+    }
+
+    /** Level-k pruning of this batch, all worlds at once: a triangle keeps
+      * only the worlds in which at least k of its cliques are still alive,
+      * and the worlds it loses are masked out of its cliques, until a pass
+      * changes nothing. That is the greatest fixpoint, the one the one-world
+      * peel reaches, so `triW` is left holding each world's triangles with
+      * ν_det ≥ k (all alive ones for k ≤ 0).
+      */
+    private[core] def prune(k: Int): Unit = {
+      var pruned = k > 0
+      while (pruned) {
+        pruned = false
+        var t = 0
+        while (t < triW.length) {
+          val lost = if (triW(t) == 0L) 0L else triW(t) & ~atLeast(t, k)
+          if (lost != 0L) {
+            triW(t) &= ~lost
+            val cl = cs.triCliques(t)
+            var j = 0
+            while (j < cl.length) { cliqueW(cl(j)) &= ~lost; j += 1 }
+            pruned = true
+          }
+          t += 1
+        }
       }
     }
   }
@@ -77,114 +163,21 @@ object DetNucleus {
   /** Is the whole graph `g` (probabilities ignored) a deterministic
     * k-nucleus? The world predicate below with every edge present.
     */
-  def isKNucleus(g: ProbGraph, k: Int): Boolean = {
-    val ws = new WorldStructure(g)
-    java.util.Arrays.fill(ws.mask, true)
-    isKNucleus(ws, ws.mask, k)
-  }
+  def isKNucleus(g: ProbGraph, k: Int): Boolean = isKNucleus(new WorldStructure(g), Array.fill(g.m)(true), k)
 
-  /** Is the world `mask` of `ws` a deterministic k-nucleus? Definition 3:
-    * it has an edge and a 4-clique, (1) every present edge lies in a
-    * 4-clique (it is a union of 4-cliques), (2) every triangle has 4-clique
-    * support ≥ k, and (3) the triangles of its 4-cliques are s-connected
-    * (share-a-4-clique connectivity). The checks run cheapest first and stop
-    * at the first that fails: support, a 4-clique, coverage, connectivity.
-    * Afterwards `ws.alive` holds the world's triangles.
+  /** Is the world `mask` of `ws` a deterministic k-nucleus? `ws.nuclei` on
+    * a batch of one; afterwards `ws.triW` holds the world's triangles.
     */
-  def isKNucleus(ws: WorldStructure, mask: Array[Boolean], k: Int): Boolean = {
-    val cs = ws.cs
-    val alive   = ws.alive
-    val support = ws.support
-    ws.fill(mask)
-    // (2), and the triangles in a 4-clique: those with support > 0
-    var inClique = 0
-    var first    = -1
-    var t = 0
-    while (t < cs.nTriangles) {
-      val s = support(t)
-      if (alive(t) && s < k) return false
-      if (s > 0) { if (first < 0) first = t; inClique += 1 }
-      t += 1
-    }
-    if (inClique == 0) return false
-    // (1): a present edge is covered iff it is an edge of an in-clique triangle
-    val covered = ws.covered
-    java.util.Arrays.fill(covered, false)
-    t = 0
-    while (t < cs.nTriangles) {
-      if (support(t) > 0) {
-        covered(ws.triEdges(3 * t)) = true; covered(ws.triEdges(3 * t + 1)) = true; covered(ws.triEdges(3 * t + 2)) = true
-      }
-      t += 1
-    }
-    var e = 0
-    while (e < mask.length) { if (mask(e) && !covered(e)) return false; e += 1 }
-    // (3): walk alive cliques from the first in-clique triangle; each clique
-    // is crossed once (its flag is cleared), each triangle pushed once
-    val clique = ws.clique
-    val stack  = ws.stack
-    val seen   = ws.seen
-    java.util.Arrays.fill(seen, false)
-    seen(first) = true; stack(0) = first
-    var top = 1; var reached = 1
-    while (top > 0) {
-      top -= 1
-      val cl = cs.triCliques(stack(top))
-      var j = 0
-      while (j < cl.length) {
-        val c = cl(j)
-        if (clique(c)) {
-          clique(c) = false
-          var i = 4 * c
-          while (i < 4 * c + 4) {
-            val m = cs.cliqueTris(i)
-            if (!seen(m)) { seen(m) = true; stack(top) = m; top += 1; reached += 1 }
-            i += 1
-          }
-        }
-        j += 1
-      }
-    }
-    reached == inClique
-  }
+  def isKNucleus(ws: WorldStructure, mask: Array[Boolean], k: Int): Boolean = { load(ws, mask); ws.nuclei(1L, k) != 0L }
 
-  /** The triangles of the world `mask` with ν_det ≥ k: level-k pruning
-    * repeatedly drops a triangle with fewer than k alive 4-cliques and kills
-    * its cliques; what is left is the world's k-nucleus triangles. Returns
-    * `ws.alive`, valid until the next world call on `ws`.
-    */
+  /** The triangles of the world `mask` with ν_det ≥ k: `ws.prune` on a batch of one. */
   def levelSet(ws: WorldStructure, mask: Array[Boolean], k: Int): Array[Boolean] = {
-    val cs = ws.cs
-    val alive   = ws.alive
-    val clique  = ws.clique
-    val support = ws.support
-    val stack   = ws.stack
-    ws.fill(mask)
-    // each triangle is pushed once: initially below k, or on falling to k − 1
-    var top = 0
-    var t = 0
-    while (t < cs.nTriangles) { if (alive(t) && support(t) < k) { stack(top) = t; top += 1 }; t += 1 }
-    while (top > 0) {
-      top -= 1
-      val dead = stack(top)
-      alive(dead) = false
-      val cl = cs.triCliques(dead)
-      var i = 0
-      while (i < cl.length) {
-        val c = cl(i)
-        if (clique(c)) {
-          clique(c) = false
-          var j = 4 * c
-          while (j < 4 * c + 4) {
-            val m = cs.cliqueTris(j)
-            support(m) -= 1
-            if (alive(m) && support(m) == k - 1) { stack(top) = m; top += 1 }
-            j += 1
-          }
-        }
-        i += 1
-      }
-    }
-    alive
+    load(ws, mask); ws.prune(k)
+    ws.triW.map(_ != 0L)
+  }
+
+  private def load(ws: WorldStructure, mask: Array[Boolean]): Unit = {
+    mask.indices.foreach(e => ws.edgeW(e) = if (mask(e)) 1L else 0L)
+    ws.setAlive()
   }
 }

@@ -49,35 +49,59 @@ object GlobalNucleus {
   }
 
   /** The level-k candidates, each with the triangle `t` it was grown from
-    * (its Monte-Carlo seed offset) and its triangles.
+    * (its Monte-Carlo seed offset) and its triangles, ascending.
     */
   private[core] def candidates(local: LocalNucleus.Decomposition, k: Int): Seq[(Int, Array[Int])] = {
     val cs = local.structure
     // k-alive cliques of C_k: all four member triangles have ν ≥ k
     val level = local.cliqueLevels
-    val aliveCliquesOf: Int => Array[Int] = t => cs.triCliques(t).filter(level(_) >= k)
+    // the candidate being grown: its cliques (marked and listed), its triangles in
+    // first-touched order and how many of its cliques hold each; cleared once emitted
+    val inClosure = new Array[Boolean](cs.nCliques)
+    val count     = new Array[Int](cs.nTriangles)
+    val cliques   = new Array[Int](cs.nCliques)
+    val members   = new Array[Int](cs.nTriangles)
+    val under     = new Array[Int](cs.nTriangles)
+    var nc = 0; var nm = 0
+    def addCliques(tri: Int): Unit = {
+      val cl = cs.triCliques(tri)
+      var j = 0
+      while (j < cl.length) {
+        val c = cl(j)
+        if (level(c) >= k && !inClosure(c)) {
+          inClosure(c) = true; cliques(nc) = c; nc += 1
+          var i = 4 * c
+          while (i < 4 * c + 4) {
+            val m = cs.cliqueTris(i)
+            if (count(m) == 0) { members(nm) = m; nm += 1 }
+            count(m) += 1; i += 1
+          }
+        }
+        j += 1
+      }
+    }
 
     val inCandidate = new Array[Boolean](cs.nTriangles)
     val out         = mutable.ArrayBuffer.empty[(Int, Array[Int])]
     var t = 0
     while (t < cs.nTriangles) {
-      if (!inCandidate(t) && local.nu(t) >= k && aliveCliquesOf(t).nonEmpty) {
-        // closure: add all C_k cliques of any member triangle that has
-        // fewer than k cliques inside the candidate (Algorithm 2, lines 6-8)
-        val cliques  = mutable.HashSet.empty[Int]
-        val triCount = mutable.HashMap.empty[Int, Int].withDefaultValue(0)
-        def addCliques(tri: Int): Unit = aliveCliquesOf(tri).foreach { cl =>
-          if (cliques.add(cl)) cs.members(cl).foreach(m => triCount(m) += 1)
-        }
-        addCliques(t)
-        // repeat passes over the under-supported members until one adds nothing
+      if (!inCandidate(t) && local.nu(t) >= k) addCliques(t)
+      if (nc > 0) {
+        // closure: add all C_k cliques of any member triangle that has fewer than k
+        // cliques inside the candidate (Algorithm 2, lines 6-8), in passes over the
+        // members under-supported at the pass's start, until one adds nothing
         var before = -1
-        while (cliques.size != before) {
-          before = cliques.size
-          triCount.keysIterator.filter(triCount(_) < k).toArray.foreach(addCliques)
+        while (nc != before) {
+          before = nc
+          var nUnder = 0
+          var i = 0
+          while (i < nm) { if (count(members(i)) < k) { under(nUnder) = members(i); nUnder += 1 }; i += 1 }
+          while (nUnder > 0) { nUnder -= 1; addCliques(under(nUnder)) }
         }
-        val candTris = triCount.keysIterator.toArray
-        candTris.foreach(inCandidate(_) = true)
+        val candTris = java.util.Arrays.copyOf(members, nm)
+        java.util.Arrays.sort(candTris)
+        while (nm > 0) { nm -= 1; inCandidate(members(nm)) = true; count(members(nm)) = 0 }
+        while (nc > 0) { nc -= 1; inClosure(cliques(nc)) = false }
         out += ((t, candTris))
       }
       t += 1
@@ -105,26 +129,27 @@ object GlobalNucleus {
   /** g's success count per triangle of `ws` over n seeded worlds (the MC
     * indicator 1_g): a world that is a k-nucleus credits all its triangles.
     */
-  private[core] def globalCounts(ws: DetNucleus.WorldStructure, k: Int, nSamples: Int, seed: Long): Array[Int] = {
-    val none = new Array[Boolean](ws.cs.nTriangles)
-    worldCounts(ws, nSamples, seed)(mask => if (DetNucleus.isKNucleus(ws, mask, k)) ws.alive else none)
-  }
+  private[core] def globalCounts(ws: DetNucleus.WorldStructure, k: Int, nSamples: Int, seed: Long): Array[Int] =
+    worldCounts(ws, nSamples, seed)(ws.nuclei(_, k))
 
-  /** How many of n seeded worlds of `ws` credit each of its triangles:
-    * `credited` maps a world's edge mask to its credited triangles. The one
-    * [[WorldRng]] loop: every world is drawn into `ws.mask`, and `credited`
-    * may return one of `ws`'s buffers.
+  /** How many of n seeded worlds of `ws` credit each of its triangles. The
+    * one [[WorldRng]] loop: worlds are drawn into `ws.edgeW` 64 at a time
+    * (the last batch holds the rest), and `credited(valid)`, given a bit per
+    * world of the batch, returns the worlds whose `ws.triW` it credits.
     */
   private[core] def worldCounts(ws: DetNucleus.WorldStructure, nSamples: Int, seed: Long)
-                               (credited: Array[Boolean] => Array[Boolean]): Array[Int] = {
+                               (credited: Long => Long): Array[Int] = {
     val counts = new Array[Int](ws.cs.nTriangles)
     val rng    = new WorldRng(seed)
     var s = 0
     while (s < nSamples) {
-      val hit = credited(Sampler.sampleMask(ws.probs, rng, ws.mask))
+      val b = math.min(64, nSamples - s)
+      Sampler.sampleBatch(ws.probs, rng, b, ws.edgeW)
+      ws.setAlive()
+      val hit = credited(-1L >>> (64 - b))
       var t = 0
-      while (t < counts.length) { if (hit(t)) counts(t) += 1; t += 1 }
-      s += 1
+      while (t < counts.length) { counts(t) += java.lang.Long.bitCount(ws.triW(t) & hit); t += 1 }
+      s += b
     }
     counts
   }

@@ -6,8 +6,9 @@ package repro.core
   * triangle whenever it lies in a k-nucleus of the world (global_score),
   * i.e. survives the world's level-k pruning. Triangles with
   * global_score/n ≥ θ are grouped into connected (shared-4-clique) unions.
-  * World counts and reports go through g's path: `GlobalNucleus.worldCounts`
-  * crediting `DetNucleus.levelSet`, and `GlobalNucleus.nucleus`.
+  * World counts and reports go through g's path: `GlobalNucleus.worldCounts`,
+  * crediting each world's level-k survivors (`WorldStructure.prune`), and
+  * `GlobalNucleus.nucleus`.
   */
 object WeaklyGlobalNucleus {
 
@@ -25,8 +26,7 @@ object WeaklyGlobalNucleus {
       // candidate graph from the nucleus's edges (`local.subgraph` would span its triangles again)
       val ws    = new DetNucleus.WorldStructure(local.graph.subgraph(cand.edges))
       val hcs   = ws.cs
-      val tails = GlobalNucleus.worldCounts(ws, nSamples, seed + ci)(DetNucleus.levelSet(ws, _, k))
-        .map(_.toDouble / nSamples)
+      val tails = weaklyCounts(ws, k, nSamples, seed + ci).map(_.toDouble / nSamples)
       // qualifying triangles of the candidate, grouped into connected unions
       // via shared 4-cliques of the candidate
       val qualify = tails.map(_ >= local.theta)
@@ -41,4 +41,10 @@ object WeaklyGlobalNucleus {
       }
     }
   }
+
+  /** w's success count per triangle of `ws` over n seeded worlds: a world
+    * credits its level-k survivors.
+    */
+  private[core] def weaklyCounts(ws: DetNucleus.WorldStructure, k: Int, nSamples: Int, seed: Long): Array[Int] =
+    GlobalNucleus.worldCounts(ws, nSamples, seed) { valid => ws.prune(k); valid }
 }

@@ -6,11 +6,12 @@ import repro.graph.ProbGraph
   *
   * A sampled world keeps each edge independently with its probability; per
   * the paper's space note a world is a bit per edge over the canonical edge
-  * list. Every world is drawn by [[sampleMask]] from a [[WorldRng]]. g and w
-  * evaluate these masks over their candidate's structure
-  * (`DetNucleus.WorldStructure`); [[worldGraph]] expands a mask to a
-  * deterministic [[ProbGraph]] (all probabilities 1) for the brute-force
-  * oracle and the reference checks.
+  * list. Every world is drawn by [[sampleBatch]] from a [[WorldRng]], up to
+  * 64 at a time as one bit of a `Long` per edge. g and w evaluate these
+  * words over their candidate's structure (`DetNucleus.WorldStructure`);
+  * [[sampleMask]] is one world of a batch as a mask, and [[worldGraph]]
+  * expands a mask to a deterministic [[ProbGraph]] (all probabilities 1) for
+  * the brute-force oracle and the reference checks.
   */
 object Sampler {
 
@@ -25,12 +26,26 @@ object Sampler {
     n.toInt
   }
 
-  /** Fill `mask` with the next world of `rng`: edge i is present iff its
-    * draw is below `probs(i)`, one draw per edge in order. Returns `mask`.
+  /** Fill `edgeW` with the next `b` ≤ 64 worlds of `rng`: bit w of
+    * `edgeW(i)` is set iff world w's draw for edge i is below `probs(i)`.
+    * World w draws once per edge in order after world w − 1, so it is the
+    * w-th run of m draws; bits b and above are clear. Returns `edgeW`.
     */
+  def sampleBatch(probs: Array[Double], rng: WorldRng, b: Int, edgeW: Array[Long]): Array[Long] = {
+    java.util.Arrays.fill(edgeW, 0L)
+    var w = 0
+    while (w < b) {
+      var i = 0
+      while (i < probs.length) { edgeW(i) |= (if (rng.nextDouble() < probs(i)) 1L else 0L) << w; i += 1 }
+      w += 1
+    }
+    edgeW
+  }
+
+  /** Fill `mask` with the next world of `rng`: a batch of one. Returns `mask`. */
   def sampleMask(probs: Array[Double], rng: WorldRng, mask: Array[Boolean]): Array[Boolean] = {
-    var i = 0
-    while (i < probs.length) { mask(i) = rng.nextDouble() < probs(i); i += 1 }
+    val w = sampleBatch(probs, rng, 1, new Array[Long](probs.length))
+    w.indices.foreach(i => mask(i) = w(i) != 0L)
     mask
   }
 

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cliques.Triangles
-import repro.graph.ProbGraph
+import repro.graph.{GraphGen, ProbGraph}
 import repro.prob.{BruteForce, Sampler}
 import scala.util.Random
 
@@ -47,6 +47,26 @@ class GlobalWeaklySpec extends AnyFunSuite {
     // Hoeffding: a miss has probability at most δ per seed
     assert(gHits >= 90, s"g within ε on $gHits of 100 seeds")
     assert(wHits >= 90, s"w within ε on $wHits of 100 seeds")
+  }
+
+  test("g's and w's world counts allocate only their counts array, at n = 64 as at n = 640") {
+    import repro.Allocation.{array, measure}
+    val local = LocalNucleus.decompose(GraphGen.dataset("krogan"), 0.1, LocalNucleus.DP)
+    // the largest candidate: krogan's biggest ℓ-nucleus at level 1
+    val ws = new DetNucleus.WorldStructure(local.graph.subgraph(local.nucleiAt(1).maxBy(_.edges.length).edges))
+    val counts = array(4, ws.cs.nTriangles)
+    def bytes(k: Int, n: Int): (Long, Long) =
+      (measure(GlobalNucleus.globalCounts(ws, k, n, 7))._2, measure(WeaklyGlobalNucleus.weaklyCounts(ws, k, n, 7))._2)
+    for (_ <- 1 to 3; k <- 1 to 2; n <- Seq(64, 640)) bytes(k, n) // class loading and compilation
+    for (k <- 1 to 2) {
+      val ((g64, w64), (g640, w640)) = (bytes(k, 64), bytes(k, 640))
+      for ((what, small, large) <- Seq(("g", g64, g640), ("w", w64, w640))) {
+        assert(large <= counts + 256, s"$what k=$k: $large bytes at n = 640; its counts take $counts")
+        assert(large - small <= 64, s"$what k=$k: $small bytes at n = 64, $large at n = 640")
+      }
+    }
+    // a per-batch array of one word per edge would cost more than both slacks
+    assert(9 * array(8, ws.graph.m) > 256, s"${ws.graph.m} edges are too few to show a per-batch array")
   }
 
   test("sampled worlds follow edge probabilities (law of large numbers)") {

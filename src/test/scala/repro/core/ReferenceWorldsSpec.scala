@@ -4,9 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{GraphGen, ProbGraph}
 import scala.util.Random
 
-/** The scratch-buffer world path against `ReferenceWorlds`: g's and w's
-  * per-triangle success counts equal on every candidate, and the world
-  * predicates equal on random masks.
+/** The batched world path against `ReferenceWorlds`: g's and w's
+  * per-triangle success counts equal on every candidate, across batch
+  * boundaries, and the one-world predicates equal on random masks.
   */
 class ReferenceWorldsSpec extends AnyFunSuite {
 
@@ -38,8 +38,7 @@ class ReferenceWorldsSpec extends AnyFunSuite {
       }
       wCandidates(local, k).foreach { case (ci, ws) =>
         val seed = wSeed + 7919L * k + ci
-        check("w", k, ci, GlobalNucleus.worldCounts(ws, n, seed)(DetNucleus.levelSet(ws, _, k)),
-          ReferenceWorlds.weaklyCounts(ws, k, n, seed))
+        check("w", k, ci, WeaklyGlobalNucleus.weaklyCounts(ws, k, n, seed), ReferenceWorlds.weaklyCounts(ws, k, n, seed))
       }
     }
     partial
@@ -54,26 +53,48 @@ class ReferenceWorldsSpec extends AnyFunSuite {
     }
   }
 
+  /** A random graph of 8 to 12 vertices with its ℓ decomposition, and a g and a w seed. */
+  private def randomLocal(rnd: Random): (LocalNucleus.Decomposition, Long, Long) = {
+    val nv = 8 + rnd.nextInt(5)
+    val es = for { a <- 0 until nv; b <- a + 1 until nv if rnd.nextDouble() < 0.7 }
+      yield (a.toLong, b.toLong, 0.5 + 0.5 * rnd.nextDouble())
+    (LocalNucleus.decompose(ProbGraph(es), 0.1 + 0.2 * rnd.nextDouble(), LocalNucleus.DP), rnd.nextLong(), rnd.nextLong())
+  }
+
   test("g and w world counts equal the reference on 20 random graphs") {
     val rnd = new Random(1111)
-    var partial = 0
+    var partial = 0; var aboveSupport = 0
     for (trial <- 1 to 20) {
-      val nv = 8 + rnd.nextInt(5)
-      val es = for { a <- 0 until nv; b <- a + 1 until nv if rnd.nextDouble() < 0.7 }
-        yield (a.toLong, b.toLong, 0.5 + 0.5 * rnd.nextDouble())
-      val local = LocalNucleus.decompose(ProbGraph(es), 0.1 + 0.2 * rnd.nextDouble(), LocalNucleus.DP)
-      partial += assertCounts(s"trial $trial", local, 100, rnd.nextLong(), rnd.nextLong())
-      // and on the whole graph at k = 0..3
-      val ws   = new DetNucleus.WorldStructure(local.graph)
-      val seed = rnd.nextLong()
-      for (k <- 0 to 3) {
+      val (local, gSeed, wSeed) = randomLocal(rnd)
+      partial += assertCounts(s"trial $trial", local, 100, gSeed, wSeed)
+      // and on the whole graph at k = 0 up to one above every triangle's clique count
+      val ws      = new DetNucleus.WorldStructure(local.graph)
+      val seed    = rnd.nextLong()
+      val support = ws.cs.triCliques.map(_.length)
+      for (k <- 0 to support.foldLeft(0)(_ max _) + 1) {
         assert(GlobalNucleus.globalCounts(ws, k, 100, seed).sameElements(ReferenceWorlds.globalCounts(ws, k, 100, seed)),
           s"trial $trial whole graph g k=$k")
-        assert(GlobalNucleus.worldCounts(ws, 100, seed)(DetNucleus.levelSet(ws, _, k))
-          .sameElements(ReferenceWorlds.weaklyCounts(ws, k, 100, seed)), s"trial $trial whole graph w k=$k")
+        assert(WeaklyGlobalNucleus.weaklyCounts(ws, k, 100, seed).sameElements(ReferenceWorlds.weaklyCounts(ws, k, 100, seed)),
+          s"trial $trial whole graph w k=$k")
+        if (k > 0 && support.exists(s => s > 0 && s < k)) aboveSupport += 1
       }
     }
     assert(partial > 0, "every count is 0 or n")
+    assert(aboveSupport > 0, "no level above a clique-bearing triangle's clique count")
+  }
+
+  test("g and w world counts equal the reference at n in 1, 63, 64, 65, 128, 300 on random graphs and krogan") {
+    val rnd    = new Random(3333)
+    val locals = Seq.fill(20)(randomLocal(rnd))
+    val krogan = LocalNucleus.decompose(GraphGen.dataset("krogan"), 0.1, LocalNucleus.DP)
+    // one world, a word less one, one word, one word and one world, two words, Table 5's n
+    for (n <- Seq(1, 63, 64, 65, 128, 300)) {
+      var partial = 0
+      for (((local, gSeed, wSeed), trial) <- locals.zipWithIndex)
+        partial += assertCounts(s"trial $trial n=$n", local, n, gSeed, wSeed)
+      partial += assertCounts(s"krogan n=$n", krogan, n, 1234L + n, 1234L + 31L * n)
+      if (n > 1) assert(partial > 0, s"n=$n: every count is 0 or n")
+    }
   }
 
   test("isKNucleus and levelSet equal the reference for k in 0..4 on random masks") {
@@ -108,7 +129,7 @@ class ReferenceWorldsSpec extends AnyFunSuite {
         assert(DetNucleus.isKNucleus(ws, mask, k) == want, s"trial $trial k=$k mask ${mask.mkString(",")}")
         if (want) {
           nuclei += 1
-          assert(ws.alive.sameElements(ReferenceWorlds.aliveTriangles(ws, mask)), s"trial $trial k=$k: g's credit")
+          assert(ws.triW.map(_ != 0L).sameElements(ReferenceWorlds.aliveTriangles(ws, mask)), s"trial $trial k=$k: g's credit")
         }
         assert(DetNucleus.levelSet(ws, mask, k).sameElements(ReferenceWorlds.levelSet(ws, mask, k)),
           s"trial $trial k=$k level set")

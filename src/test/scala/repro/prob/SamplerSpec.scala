@@ -53,6 +53,27 @@ class SamplerSpec extends AnyFunSuite {
     }
   }
 
+  test("bit w of sampleBatch is the w-th sampleMask world of the same seed, across batches") {
+    val big   = ProbGraph(for { a <- 0 until 7; b <- a + 1 until 7 } yield (a.toLong, b.toLong, (a + b + 1) / 13.0))
+    val probs = big.edgeProbs
+    val rnd   = new Random(91)
+    val (batches, masks) = (new WorldRng(91), new WorldRng(91))
+    val edgeW = Array.fill(probs.length)(-1L) // stale bits from a previous batch must go
+    var worlds = 0
+    for (b <- Seq(64, 1, 63, 17, 64, 2)) {
+      assert(Sampler.sampleBatch(probs, batches, b, edgeW) eq edgeW)
+      for (w <- 0 until b) {
+        val mask = Sampler.sampleMask(probs, masks, new Array[Boolean](probs.length))
+        val want = probs.map(rnd.nextDouble() < _)
+        assert(mask.sameElements(want), s"world $worlds")
+        assert(edgeW.map(x => (x >>> w & 1L) == 1L).sameElements(want), s"batch of $b, bit $w")
+        worlds += 1
+      }
+      if (b < 64) assert(edgeW.forall(_ >>> b == 0L), s"batch of $b: bits above the batch are set")
+    }
+    assert(edgeW.exists(_ != 0L) && edgeW.exists(_ != -1L))
+  }
+
   test("certain edges always appear; per-edge frequency tracks probability") {
     val edges  = g.edges
     val probs  = edges.map(_._3)
