@@ -2,6 +2,7 @@ package repro.core
 
 import repro.cliques.{FourCliques, Triangles}
 import repro.graph.ProbGraph
+import repro.prob.Sampler
 
 /** Deterministic (3,4)-nucleus decomposition (Definition 3, [47]) — the
   * substrate the global / weakly-global algorithms check each sampled
@@ -23,8 +24,9 @@ object DetNucleus {
     * (g) and [[prune]] (w). One structure serves one thread.
     */
   final class WorldStructure(val graph: ProbGraph) {
-    /** Pr(e) in `graph.edges` order: what each world draws against. */
-    val probs: Array[Double]             = graph.edgeProbs
+    /** Each edge's `Sampler.threshold`, in `graph.edges` order: what each world draws against. */
+    val thresholds = new Array[Long](graph.m)
+    locally { var e = 0; graph.forEachEdge { (_, s) => thresholds(e) = Sampler.threshold(graph.adjProb(s)); e += 1 } }
     val cs: FourCliques.CliqueStructure  = FourCliques.build(graph)
     /** Flat, 3 edge ids per triangle. */
     val triEdges: Array[Int] = Triangles.edgeIds(graph, cs.tris)

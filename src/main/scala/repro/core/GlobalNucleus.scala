@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.cliques.Triangles
 import repro.graph.ProbGraph
 import repro.prob.{Sampler, WorldRng}
 import scala.collection.mutable
@@ -45,7 +44,9 @@ object GlobalNucleus {
   def decomposeAt(local: LocalNucleus.Decomposition, k: Int,
                   nSamples: Int, seed: Long): Seq[ProbNucleus] = {
     requireSamples(nSamples)
-    candidates(local, k).flatMap { case (t, candTris) => validate(local, candTris, k, nSamples, seed + t) }
+    // the span scratch, shared by the level's candidates as by the ℓ sweep
+    val seenV = new java.util.BitSet(local.graph.n); val seenE = new java.util.BitSet(local.graph.adj.length)
+    candidates(local, k).flatMap { case (t, candTris) => validate(local, candTris, k, nSamples, seed + t, seenV, seenE) }
   }
 
   /** The level-k candidates, each with the triangle `t` it was grown from
@@ -110,19 +111,23 @@ object GlobalNucleus {
   }
 
   /** Monte-Carlo validation of one candidate (Algorithm 2, lines 9-16). */
-  private def validate(local: LocalNucleus.Decomposition, candTris: Array[Int], k: Int,
-                       nSamples: Int, seed: Long): Option[ProbNucleus] = {
+  private def validate(local: LocalNucleus.Decomposition, candTris: Array[Int], k: Int, nSamples: Int, seed: Long,
+                       seenV: java.util.BitSet, seenE: java.util.BitSet): Option[ProbNucleus] = {
     val (g, tris) = (local.graph, local.structure.tris)
     // spanned once: the candidate graph, and the reported nucleus if accepted
-    val (vs, es) = LocalNucleus.span(g, tris, candTris)()
-    val ws = new DetNucleus.WorldStructure(g.subgraph(es))
-    val h  = ws.graph
-    // the candidate's triangles in h: both graphs number vertices in label order
-    def hId(x: Int): Int = java.util.Arrays.binarySearch(h.labels, g.labels(x))
-    val index = new Triangles.Index(h, ws.cs.tris)
-    val hTris = candTris.map(t => index.at(h.slot(hId(tris.u(t)), hId(tris.v(t))), hId(tris.w(t))))
+    val (vs, es) = LocalNucleus.span(g, tris, candTris)(seenV, seenE)
+    val ws     = new DetNucleus.WorldStructure(g.subgraph(es))
     val counts = globalCounts(ws, k, nSamples, seed)
-    val minTail = hTris.map(counts).min.toDouble / nSamples
+    // the candidate's triangles in h, by one merge walk: h numbers vertex vs(i) as i,
+    // so both triangle lists are lexicographic in g's ids, and h's holds the candidate's
+    val ht = ws.cs.tris
+    var least = Int.MaxValue; var i = 0; var j = 0
+    while (i < candTris.length) {
+      val t = candTris(i)
+      while (vs(ht.u(j)) != tris.u(t) || vs(ht.v(j)) != tris.v(t) || vs(ht.w(j)) != tris.w(t)) j += 1
+      least = math.min(least, counts(j)); i += 1; j += 1
+    }
+    val minTail = least.toDouble / nSamples
     if (minTail >= local.theta) Some(nucleus(g, k, vs, es, minTail)) else None
   }
 
@@ -144,7 +149,7 @@ object GlobalNucleus {
     var s = 0
     while (s < nSamples) {
       val b = math.min(64, nSamples - s)
-      Sampler.sampleBatch(ws.probs, rng, b, ws.edgeW)
+      Sampler.sampleBatch(ws.thresholds, rng, b, ws.edgeW)
       ws.setAlive()
       val hit = credited(-1L >>> (64 - b))
       var t = 0

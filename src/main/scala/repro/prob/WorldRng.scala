@@ -1,26 +1,27 @@
 package repro.prob
 
 /** The 48-bit linear congruential generator that `java.util.Random`
-  * documents, held in a plain `long`: the same seed scramble, `next(bits)`
-  * and `nextDouble`, so `new WorldRng(s)` draws exactly the doubles of
-  * `new java.util.Random(s)`. One world loop owns it, so it needs none of
-  * `java.util.Random`'s per-draw compare-and-set.
+  * documents, held in a plain `long`: the same seed scramble and step, so
+  * `new WorldRng(s)` walks the states of `new java.util.Random(s)`. Its one
+  * draw loop, [[Sampler.sampleBatch]], advances `state` itself, with none
+  * of `java.util.Random`'s per-draw compare-and-set.
   */
 final class WorldRng(seed: Long) {
-  private[this] var state = (seed ^ WorldRng.Multiplier) & WorldRng.Mask
-
-  private def next(bits: Int): Int = {
-    state = (state * WorldRng.Multiplier + WorldRng.Addend) & WorldRng.Mask
-    (state >>> (48 - bits)).toInt
-  }
-
-  /** Uniform in [0, 1) on the 2⁻⁵³ grid: 26 high bits, then 27 low bits. */
-  def nextDouble(): Double = ((next(26).toLong << 27) + next(27)) * WorldRng.DoubleUnit
+  private[prob] var state: Long = (seed ^ WorldRng.Multiplier) & WorldRng.Mask
 }
 
 object WorldRng {
-  private val Multiplier = 0x5DEECE66DL
-  private val Addend     = 0xBL
-  private val Mask       = (1L << 48) - 1
-  private val DoubleUnit = 1.0 / (1L << 53)
+  private[prob] val Multiplier = 0x5DEECE66DL
+  private[prob] val Addend     = 0xBL
+  private[prob] val Mask       = (1L << 48) - 1
+
+  /** The state n ≥ 0 steps after `s` in O(log n): the step s ↦ a·s + c
+    * twice is s ↦ a²·s + c(a + 1), so the maps of 2ⁱ steps come by squaring
+    * (F. B. Brown, "Random number generation with arbitrary strides", 1994).
+    */
+  private[prob] def skip(s: Long, n: Long): Long = {
+    var x = s; var a = Multiplier; var c = Addend; var k = n
+    while (k > 0) { if ((k & 1L) != 0L) x = x * a + c; c *= a + 1; a *= a; k >>>= 1 }
+    x & Mask
+  }
 }

@@ -110,7 +110,7 @@ class DetNucleusSpec extends AnyFunSuite {
         yield (a.toLong, b.toLong, 0.5 + 0.5 * rnd.nextDouble())
       val ws = new DetNucleus.WorldStructure(ProbGraph(es))
       for (_ <- 1 to 10) {
-        val mask     = Sampler.sampleMask(ws.probs, rng, new Array[Boolean](ws.graph.edges.length))
+        val mask     = Sampler.sampleMask(ws.graph.edgeProbs, rng, new Array[Boolean](ws.graph.edges.length))
         val world    = Sampler.worldGraph(ws.graph, ws.graph.edges, mask)
         val (cs, nu) = DetNucleus.decompose(world)
         for (k <- 0 to 3) {
