@@ -154,7 +154,8 @@ object DetNucleus {
   /** ν_det per triangle of `g` (edge probabilities ignored): the largest k
     * such that the triangle belongs to a deterministic k-(3,4)-nucleus.
     * Triangles in no 4-clique get ν_det = 0. This rebuilds the structure;
-    * it is the reference the per-world [[levelSet]] is tested against.
+    * it is the reference the batch pruning [[WorldStructure.prune]] is
+    * tested against.
     */
   def decompose(g: ProbGraph): (FourCliques.CliqueStructure, Array[Int]) = {
     val cs = FourCliques.build(g)
@@ -163,23 +164,12 @@ object DetNucleus {
   }
 
   /** Is the whole graph `g` (probabilities ignored) a deterministic
-    * k-nucleus? The world predicate below with every edge present.
+    * k-nucleus? [[WorldStructure.nuclei]] on a batch of one world, the
+    * world with every edge present.
     */
-  def isKNucleus(g: ProbGraph, k: Int): Boolean = isKNucleus(new WorldStructure(g), Array.fill(g.m)(true), k)
-
-  /** Is the world `mask` of `ws` a deterministic k-nucleus? `ws.nuclei` on
-    * a batch of one; afterwards `ws.triW` holds the world's triangles.
-    */
-  def isKNucleus(ws: WorldStructure, mask: Array[Boolean], k: Int): Boolean = { load(ws, mask); ws.nuclei(1L, k) != 0L }
-
-  /** The triangles of the world `mask` with ν_det ≥ k: `ws.prune` on a batch of one. */
-  def levelSet(ws: WorldStructure, mask: Array[Boolean], k: Int): Array[Boolean] = {
-    load(ws, mask); ws.prune(k)
-    ws.triW.map(_ != 0L)
-  }
-
-  private def load(ws: WorldStructure, mask: Array[Boolean]): Unit = {
-    mask.indices.foreach(e => ws.edgeW(e) = if (mask(e)) 1L else 0L)
-    ws.setAlive()
+  def isKNucleus(g: ProbGraph, k: Int): Boolean = {
+    val ws = new WorldStructure(g)
+    java.util.Arrays.fill(ws.edgeW, 1L); ws.setAlive()
+    ws.nuclei(1L, k) != 0L
   }
 }

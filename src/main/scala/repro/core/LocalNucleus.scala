@@ -66,11 +66,6 @@ object LocalNucleus {
       }
       level
     }
-
-    /** The graph spanned by the triangles `triIds` (the edges of [[span]]),
-      * with `graph`'s labels: an ℓ-nucleus's graph (Table 4).
-      */
-    def subgraph(triIds: Array[Int]): ProbGraph = graph.subgraph(span(graph, structure.tris, triIds)()._2)
   }
 
   /** A fresh scorer for one peel (DP's holds its DP row). */

@@ -23,7 +23,7 @@ object WeaklyGlobalNucleus {
                   nSamples: Int, seed: Long): Seq[GlobalNucleus.ProbNucleus] = {
     GlobalNucleus.requireSamples(nSamples)
     local.nucleiAt(k).zipWithIndex.flatMap { case (cand, ci) =>
-      // candidate graph from the nucleus's edges (`local.subgraph` would span its triangles again)
+      // candidate graph from the nucleus's edges, spanned once by `nucleiAt` (as in Table 4)
       val ws    = new DetNucleus.WorldStructure(local.graph.subgraph(cand.edges))
       val hcs   = ws.cs
       val tails = weaklyCounts(ws, k, nSamples, seed + ci).map(_.toDouble / nSamples)

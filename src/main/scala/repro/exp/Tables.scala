@@ -126,7 +126,7 @@ object Tables {
     val (nuc, nSec) = timed {
       val d = LocalNucleus.decompose(g, theta, LocalNucleus.DP)
       val k = d.kMax
-      (k, d.nucleiAt(k).map(n => d.subgraph(n.triangleIds)))
+      (k, d.nucleiAt(k).map(n => d.graph.subgraph(n.edges)))
     }
     val (tru, tSec) = timed {
       val d = ProbTruss.decompose(g, theta)

@@ -9,9 +9,9 @@ import repro.graph.ProbGraph
   * list. Every world is drawn by [[sampleBatch]] from a [[WorldRng]], up to
   * 64 at a time as one bit of a `Long` per edge. g and w evaluate these
   * words over their candidate's structure (`DetNucleus.WorldStructure`);
-  * [[sampleMask]] is one world of a batch as a mask, and [[worldGraph]]
-  * expands a mask to a deterministic [[ProbGraph]] (all probabilities 1) for
-  * the brute-force oracle and the reference checks.
+  * [[worldGraph]] expands one world, as a mask, to a deterministic
+  * [[ProbGraph]] (all probabilities 1) for the brute-force oracle, the
+  * reference checks and [[sampleWorlds]].
   */
 object Sampler {
 
@@ -71,24 +71,23 @@ object Sampler {
     edgeW
   }
 
-  /** Fill `mask` with the next world of `rng` for edges of Pr(e) `probs`: a batch of one. Returns `mask`. */
-  def sampleMask(probs: Array[Double], rng: WorldRng, mask: Array[Boolean]): Array[Boolean] = {
-    val w = sampleBatch(probs.map(threshold), rng, 1, new Array[Long](probs.length))
-    w.indices.foreach(i => mask(i) = w(i) != 0L)
-    mask
-  }
-
   /** Expand a mask to a deterministic graph (p ≡ 1) on the present edges.
     * Vertex labels are preserved through `labels` of the source graph.
     */
   def worldGraph(g: ProbGraph, edges: Array[(Int, Int, Double)], mask: Array[Boolean]): ProbGraph =
     g.subgraph(edges.indices.collect { case i if mask(i) => (edges(i)._1, edges(i)._2, 1.0) })
 
-  /** Sample n worlds of g as deterministic graphs, deterministic in seed. */
+  /** Sample n worlds of g as deterministic graphs, deterministic in seed:
+    * world i is bit i mod 64 of the (i / 64)-th [[sampleBatch]] over `g.edges`.
+    */
   def sampleWorlds(g: ProbGraph, n: Int, seed: Long): IndexedSeq[ProbGraph] = {
     val rng   = new WorldRng(seed)
     val edges = g.edges
-    val probs = edges.map(_._3)
-    (0 until n).map(_ => worldGraph(g, edges, sampleMask(probs, rng, new Array[Boolean](edges.length))))
+    val ts    = edges.map(e => threshold(e._3))
+    val edgeW = new Array[Long](edges.length)
+    (0 until n).map { i =>
+      if (i % 64 == 0) sampleBatch(ts, rng, math.min(64, n - i), edgeW)
+      worldGraph(g, edges, edgeW.map(x => (x >>> i % 64 & 1L) != 0L))
+    }
   }
 }

@@ -2,11 +2,11 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.ProbGraph
-import repro.prob.{Sampler, WorldRng}
+import repro.prob.{Lanes, Sampler, WorldRng}
 import scala.util.Random
 
 /** Deterministic (3,4)-nucleus decomposition, the k-nucleus predicate, and
-  * the per-world mask path checked against rebuilding each world.
+  * the batch world checks, lane by lane, against rebuilding each world.
   */
 class DetNucleusSpec extends AnyFunSuite {
 
@@ -108,16 +108,22 @@ class DetNucleusSpec extends AnyFunSuite {
       val nv = 6 + rnd.nextInt(3)
       val es = for { a <- 0 until nv; b <- a + 1 until nv if rnd.nextDouble() < 0.85 }
         yield (a.toLong, b.toLong, 0.5 + 0.5 * rnd.nextDouble())
-      val ws = new DetNucleus.WorldStructure(ProbGraph(es))
-      for (_ <- 1 to 10) {
-        val mask     = Sampler.sampleMask(ws.graph.edgeProbs, rng, new Array[Boolean](ws.graph.edges.length))
-        val world    = Sampler.worldGraph(ws.graph, ws.graph.edges, mask)
-        val (cs, nu) = DetNucleus.decompose(world)
-        for (k <- 0 to 3) {
-          val isNucleus = DetNucleus.isKNucleus(ws, mask, k)
-          assert(isNucleus == DetNucleus.isKNucleus(world, k), s"k=$k world ${mask.mkString(",")}")
-          val level = DetNucleus.levelSet(ws, mask, k)
-          val byMask = (0 until ws.cs.nTriangles).filter(level).map { t =>
+      val ws    = new DetNucleus.WorldStructure(ProbGraph(es))
+      val words = Sampler.sampleBatch(ws.thresholds, rng, 10, new Array[Long](ws.graph.m))
+      def load(): Unit = { System.arraycopy(words, 0, ws.edgeW, 0, words.length); ws.setAlive() }
+      val worlds = (0 until 10).map { w =>
+        val mask  = Lanes.mask(words, w)
+        val world = Sampler.worldGraph(ws.graph, ws.graph.edges, mask)
+        (w, mask, world, DetNucleus.decompose(world))
+      }
+      for (k <- 0 to 3) {
+        load()
+        val isNucleus = ws.nuclei((1L << 10) - 1, k)
+        load(); ws.prune(k)
+        for ((w, mask, world, (cs, nu)) <- worlds) {
+          val inWorld = (isNucleus >>> w & 1L) == 1L
+          assert(inWorld == DetNucleus.isKNucleus(world, k), s"k=$k world ${mask.mkString(",")}")
+          val byMask = (0 until ws.cs.nTriangles).filter(t => (ws.triW(t) >>> w & 1L) == 1L).map { t =>
             val l = ws.graph.labels
             (l(ws.cs.tris.u(t)), l(ws.cs.tris.v(t)), l(ws.cs.tris.w(t)))
           }.toSet
@@ -125,9 +131,10 @@ class DetNucleusSpec extends AnyFunSuite {
             (world.labels(cs.tris.u(t)), world.labels(cs.tris.v(t)), world.labels(cs.tris.w(t)))
           }.toSet
           assert(byMask == byRebuild, s"k=$k world ${mask.mkString(",")}")
-          if (isNucleus) nuclei += 1
+          if (inWorld) nuclei += 1
           if (k > 0) survivors += byMask.size
         }
+        assert(isNucleus >>> 10 == 0L && ws.triW.forall(_ >>> 10 == 0L), s"k=$k: a world outside the batch is set")
       }
     }
     // the 200 worlds exercise both outcomes of the predicate and the pruning

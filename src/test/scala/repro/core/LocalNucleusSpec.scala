@@ -213,7 +213,7 @@ class LocalNucleusSpec extends AnyFunSuite {
       assert(d.kMax >= 2 && nuclei.nonEmpty, s"$name: kMax ${d.kMax}")
       nuclei.foreach { n =>
         val byHand = ProbGraph(n.edges.toIndexedSeq.map { case (u, v, p) => (g.labels(u), g.labels(v), p) })
-        assert(same(d.subgraph(n.triangleIds), byHand), s"$name k=${n.k}")
+        assert(same(d.graph.subgraph(n.edges), byHand), s"$name k=${n.k}")
       }
     }
   }

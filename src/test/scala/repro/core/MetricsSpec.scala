@@ -103,6 +103,6 @@ class MetricsSpec extends AnyFunSuite {
     val dec    = LocalNucleus.decompose(GraphGen.dataset("krogan"), 0.1, LocalNucleus.DP)
     val nuclei = dec.allNuclei
     assert(nuclei.nonEmpty)
-    nuclei.zipWithIndex.foreach { case (n, i) => assertSameBits(s"krogan k=${n.k} nucleus $i", dec.subgraph(n.triangleIds)) }
+    nuclei.zipWithIndex.foreach { case (n, i) => assertSameBits(s"krogan k=${n.k} nucleus $i", dec.graph.subgraph(n.edges)) }
   }
 }

@@ -2,11 +2,13 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{GraphGen, ProbGraph}
+import repro.prob.Lanes
 import scala.util.Random
 
 /** The batched world path against `ReferenceWorlds`: g's and w's
   * per-triangle success counts equal on every candidate, across batch
-  * boundaries, and the one-world predicates equal on random masks.
+  * boundaries, and the batch checks equal on every world of a batch of
+  * random masks.
   */
 class ReferenceWorldsSpec extends AnyFunSuite {
 
@@ -97,7 +99,7 @@ class ReferenceWorldsSpec extends AnyFunSuite {
     }
   }
 
-  test("isKNucleus and levelSet equal the reference for k in 0..4 on random masks") {
+  test("nuclei, credit and prune equal the reference on every lane") {
     val rnd = new Random(2222)
     def clique(vs: Range): Seq[(Long, Long, Double)] =
       for { a <- vs; b <- vs if a < b } yield (a.toLong, b.toLong, 1.0)
@@ -124,23 +126,33 @@ class ReferenceWorldsSpec extends AnyFunSuite {
       }
       val masks = Seq(Array.fill(m)(true), Array.fill(m)(false)) ++ twoK4s ++
         Seq.fill(40) { val d = Seq(0.5, 0.7, 0.85, 0.95)(rnd.nextInt(4)); Array.fill(m)(rnd.nextDouble() < d) }
-      for (mask <- masks; k <- 0 to 4) {
-        val want = ReferenceWorlds.isKNucleus(ws, mask, k)
-        assert(DetNucleus.isKNucleus(ws, mask, k) == want, s"trial $trial k=$k mask ${mask.mkString(",")}")
-        if (want) {
-          nuclei += 1
-          assert(ws.triW.map(_ != 0L).sameElements(ReferenceWorlds.aliveTriangles(ws, mask)), s"trial $trial k=$k: g's credit")
-        }
-        assert(DetNucleus.levelSet(ws, mask, k).sameElements(ReferenceWorlds.levelSet(ws, mask, k)),
-          s"trial $trial k=$k level set")
-        if (k == 0 && ReferenceWorlds.levelSet(ws, mask, 1).forall(!_)) cliqueFree += 1
-        // two disjoint k-nuclei with no bridge between them fail connectivity alone
-        sideA.foreach { inA =>
-          val side = (a: Boolean) => Array.tabulate(m)(e => mask(e) && inA(lab(wes(e)._1)) == a && inA(lab(wes(e)._2)) == a)
-          val bridged = (0 until m).exists(e => mask(e) && inA(lab(wes(e)._1)) != inA(lab(wes(e)._2)))
-          if (!bridged && ReferenceWorlds.isKNucleus(ws, side(true), k) && ReferenceWorlds.isKNucleus(ws, side(false), k)) {
-            assert(!want, s"trial $trial k=$k: two disjoint nuclei are not s-connected")
-            connectivityOnly += 1
+      // all masks are one batch: mask w is world w
+      val words = Lanes.pack(masks, m)
+      val valid = -1L >>> (64 - masks.length)
+      def load(): Unit = { System.arraycopy(words, 0, ws.edgeW, 0, m); ws.setAlive() }
+      for (k <- 0 to 4) {
+        load()
+        val got    = ws.nuclei(valid, k)
+        val credit = ws.triW.map(_ & got) // what `globalCounts` credits
+        load(); ws.prune(k)
+        assert(got >>> masks.length == 0L, s"trial $trial k=$k: a world outside the batch is a nucleus")
+        for ((mask, w) <- masks.zipWithIndex) {
+          val want = ReferenceWorlds.isKNucleus(ws, mask, k)
+          assert(((got >>> w & 1L) == 1L) == want, s"trial $trial k=$k world $w mask ${mask.mkString(",")}")
+          if (want) nuclei += 1
+          assert(Lanes.mask(credit, w).sameElements(ReferenceWorlds.aliveTriangles(ws, mask).map(_ && want)),
+            s"trial $trial k=$k world $w: g's credit")
+          assert(Lanes.mask(ws.triW, w).sameElements(ReferenceWorlds.levelSet(ws, mask, k)),
+            s"trial $trial k=$k world $w: level set")
+          if (k == 0 && ReferenceWorlds.levelSet(ws, mask, 1).forall(!_)) cliqueFree += 1
+          // two disjoint k-nuclei with no bridge between them fail connectivity alone
+          sideA.foreach { inA =>
+            val side = (a: Boolean) => Array.tabulate(m)(e => mask(e) && inA(lab(wes(e)._1)) == a && inA(lab(wes(e)._2)) == a)
+            val bridged = (0 until m).exists(e => mask(e) && inA(lab(wes(e)._1)) != inA(lab(wes(e)._2)))
+            if (!bridged && ReferenceWorlds.isKNucleus(ws, side(true), k) && ReferenceWorlds.isKNucleus(ws, side(false), k)) {
+              assert(!want, s"trial $trial k=$k: two disjoint nuclei are not s-connected")
+              connectivityOnly += 1
+            }
           }
         }
       }

@@ -35,16 +35,18 @@ class SamplerSpec extends AnyFunSuite {
     assert(a != c || a.sum == 60) // different seed differs unless saturated
   }
 
-  test("sampleMask and sampleWorlds draw java.util.Random(seed)'s stream, one double per edge in order") {
+  test("sampleBatch and sampleWorlds draw java.util.Random(seed)'s stream") {
     val big   = ProbGraph(for { a <- 0 until 7; b <- a + 1 until 7 } yield (a.toLong, b.toLong, (a + b + 1) / 13.0))
     val edges = big.edges
+    val ts    = edges.map(e => Sampler.threshold(e._3))
     val rnd   = new Random(77)
     val rng   = new WorldRng(77)
-    val mask  = new Array[Boolean](edges.length)
-    val masks = for (_ <- 1 to 50) yield {
+    val edgeW = new Array[Long](edges.length)
+    // 50 worlds, one double per edge in order, in chained batches of 17 and 33
+    val masks = for (b <- Seq(17, 33); w <- 0 until b) yield {
+      if (w == 0) assert(Sampler.sampleBatch(ts, rng, b, edgeW) eq edgeW)
       val want = edges.map { case (_, _, p) => rnd.nextDouble() < p }
-      assert(Sampler.sampleMask(edges.map(_._3), rng, mask) eq mask)
-      assert(mask.sameElements(want))
+      assert(Lanes.mask(edgeW, w).sameElements(want), s"batch of $b, bit $w")
       want
     }
     val worlds = Sampler.sampleWorlds(big, 50, seed = 77)
@@ -53,26 +55,41 @@ class SamplerSpec extends AnyFunSuite {
     }
   }
 
-  test("bit w of sampleBatch is the w-th sampleMask world of the same seed, across batches") {
+  test("bit w of sampleBatch is java.util.Random's w-th world across 6 batches") {
     val big   = ProbGraph(for { a <- 0 until 7; b <- a + 1 until 7 } yield (a.toLong, b.toLong, (a + b + 1) / 13.0))
     val probs = big.edgeProbs
     val ts    = probs.map(Sampler.threshold)
     val rnd   = new Random(91)
-    val (batches, masks) = (new WorldRng(91), new WorldRng(91))
+    val rng   = new WorldRng(91)
     val edgeW = Array.fill(probs.length)(-1L) // stale bits from a previous batch must go
     var worlds = 0
     for (b <- Seq(64, 1, 63, 17, 64, 2)) {
-      assert(Sampler.sampleBatch(ts, batches, b, edgeW) eq edgeW)
+      assert(Sampler.sampleBatch(ts, rng, b, edgeW) eq edgeW)
       for (w <- 0 until b) {
-        val mask = Sampler.sampleMask(probs, masks, new Array[Boolean](probs.length))
         val want = probs.map(rnd.nextDouble() < _)
-        assert(mask.sameElements(want), s"world $worlds")
-        assert(edgeW.map(x => (x >>> w & 1L) == 1L).sameElements(want), s"batch of $b, bit $w")
+        assert(Lanes.mask(edgeW, w).sameElements(want), s"world $worlds: batch of $b, bit $w")
         worlds += 1
       }
       if (b < 64) assert(edgeW.forall(_ >>> b == 0L), s"batch of $b: bits above the batch are set")
     }
     assert(edgeW.exists(_ != 0L) && edgeW.exists(_ != -1L))
+  }
+
+  test("sampleWorlds' world i is java.util.Random's i-th run at batch edges") {
+    // labels apart from vertex ids, and every third edge certain
+    val h = ProbGraph(for { a <- 0 until 6; b <- a + 1 until 6 }
+      yield (10L * a + 3, 10L * b + 3, if ((a + b) % 3 == 0) 1.0 else (a + b + 1) / 12.0))
+    for (seed <- WorldRngSpec.seeds; n <- Seq(0, 1, 63, 64, 65, 130)) {
+      val worlds = Sampler.sampleWorlds(h, n, seed)
+      assert(worlds.length == n, s"seed $seed: ${worlds.length} worlds of $n")
+      val ref = new java.util.Random(seed)
+      worlds.zipWithIndex.foreach { case (world, i) =>
+        val kept = h.edges.filter(e => ref.nextDouble() < e._3)
+        val want = ProbGraph(kept.toIndexedSeq.map { case (u, v, _) => (h.labels(u), h.labels(v), 1.0) })
+        assert(world.labels.sameElements(want.labels) && world.offsets.sameElements(want.offsets) &&
+          world.adj.sameElements(want.adj) && world.adjProb.sameElements(want.adjProb), s"seed $seed, n = $n: world $i")
+      }
+    }
   }
 
   test("bit w of sampleBatch is java.util.Random(seed)'s w-th run of m draws, alone and in chained batches") {
@@ -116,13 +133,14 @@ class SamplerSpec extends AnyFunSuite {
 
   test("certain edges always appear; per-edge frequency tracks probability") {
     val edges  = g.edges
-    val probs  = edges.map(_._3)
+    val ts     = edges.map(e => Sampler.threshold(e._3))
     val rng    = new WorldRng(42)
     val n      = 4000
+    val edgeW  = new Array[Long](edges.length)
     val counts = new Array[Int](edges.length)
-    for (_ <- 1 to n) {
-      val mask = Sampler.sampleMask(probs, rng, new Array[Boolean](edges.length))
-      mask.zipWithIndex.foreach { case (b, i) => if (b) counts(i) += 1 }
+    for (s <- 0 until n by 64) {
+      Sampler.sampleBatch(ts, rng, math.min(64, n - s), edgeW)
+      edgeW.indices.foreach(i => counts(i) += java.lang.Long.bitCount(edgeW(i)))
     }
     edges.zipWithIndex.foreach { case ((_, _, p), i) =>
       val freq = counts(i).toDouble / n
