@@ -115,6 +115,12 @@ object Triangles {
 
     /** Id of triangle (u, v, w) with u < v < w, where `slot` = `g.slot(u, v)`; negative if absent. */
     def at(slot: Int, w: Int): Int = java.util.Arrays.binarySearch(tris.w, start(slot), start(slot + 1), w)
+
+    /** The block of `slot` = `g.slot(u, v)`: the triangles (u, v, ·) are the ids
+      * `blockStart(slot)` until `blockEnd(slot)`, by w.
+      */
+    def blockStart(slot: Int): Int = start(slot)
+    def blockEnd(slot: Int): Int   = start(slot + 1)
   }
 
   def count(g: ProbGraph): Long = enumerate(g).size.toLong

@@ -13,7 +13,8 @@ import scala.collection.mutable
   * containing Δ.
   *
   * g and w share one world-counting loop, [[worldCounts]], and one
-  * reporter, [[nucleus]]; both build candidates with `ProbGraph.subgraph`.
+  * reporter, [[nucleus]]; both build each candidate's structure with a
+  * `DetNucleus.Restrict` of the ℓ graph, one per call.
   */
 object GlobalNucleus {
 
@@ -33,7 +34,8 @@ object GlobalNucleus {
   /** All g-(k,θ)-nuclei for k = 1..kMax of the local decomposition. */
   def decompose(local: LocalNucleus.Decomposition, nSamples: Int, seed: Long): Seq[ProbNucleus] = {
     requireSamples(nSamples)
-    (1 to local.kMax).flatMap(k => decomposeAt(local, k, nSamples, seed + k))
+    val restrict = new DetNucleus.Restrict(local.graph, local.structure)
+    (1 to local.kMax).flatMap(k => at(local, k, nSamples, seed + k, restrict))
   }
 
   /** Tails are success counts over n worlds: n = 0 would make them NaN. */
@@ -44,9 +46,16 @@ object GlobalNucleus {
   def decomposeAt(local: LocalNucleus.Decomposition, k: Int,
                   nSamples: Int, seed: Long): Seq[ProbNucleus] = {
     requireSamples(nSamples)
-    // the span scratch, shared by the level's candidates as by the ℓ sweep
+    at(local, k, nSamples, seed, new DetNucleus.Restrict(local.graph, local.structure))
+  }
+
+  private def at(local: LocalNucleus.Decomposition, k: Int, nSamples: Int, seed: Long,
+                 restrict: DetNucleus.Restrict): Seq[ProbNucleus] = {
+    // the span scratch, shared by the level's accepted candidates as by the ℓ sweep
     val seenV = new java.util.BitSet(local.graph.n); val seenE = new java.util.BitSet(local.graph.adj.length)
-    candidates(local, k).flatMap { case (t, candTris) => validate(local, candTris, k, nSamples, seed + t, seenV, seenE) }
+    candidates(local, k).flatMap { case (t, candTris) =>
+      validate(local, candTris, k, nSamples, seed + t, restrict, seenV, seenE)
+    }
   }
 
   /** The level-k candidates, each with the triangle `t` it was grown from
@@ -110,25 +119,25 @@ object GlobalNucleus {
     out.toSeq
   }
 
-  /** Monte-Carlo validation of one candidate (Algorithm 2, lines 9-16). */
+  /** Monte-Carlo validation of one candidate (Algorithm 2, lines 9-16):
+    * its structure is the ℓ structure restricted to its edges, and only an
+    * accepted candidate is spanned.
+    */
   private def validate(local: LocalNucleus.Decomposition, candTris: Array[Int], k: Int, nSamples: Int, seed: Long,
+                       restrict: DetNucleus.Restrict,
                        seenV: java.util.BitSet, seenE: java.util.BitSet): Option[ProbNucleus] = {
-    val (g, tris) = (local.graph, local.structure.tris)
-    // spanned once: the candidate graph, and the reported nucleus if accepted
-    val (vs, es) = LocalNucleus.span(g, tris, candTris)(seenV, seenE)
-    val ws     = new DetNucleus.WorldStructure(g.subgraph(es))
+    val ws     = restrict(restrict.slotsOf(candTris))
     val counts = globalCounts(ws, k, nSamples, seed)
-    // the candidate's triangles in h, by one merge walk: h numbers vertex vs(i) as i,
-    // so both triangle lists are lexicographic in g's ids, and h's holds the candidate's
-    val ht = ws.cs.tris
-    var least = Int.MaxValue; var i = 0; var j = 0
+    // the candidate's triangles among the structure's, which may hold more
+    var least = Int.MaxValue; var i = 0
     while (i < candTris.length) {
-      val t = candTris(i)
-      while (vs(ht.u(j)) != tris.u(t) || vs(ht.v(j)) != tris.v(t) || vs(ht.w(j)) != tris.w(t)) j += 1
-      least = math.min(least, counts(j)); i += 1; j += 1
+      least = math.min(least, counts(java.util.Arrays.binarySearch(ws.triIds, candTris(i)))); i += 1
     }
     val minTail = least.toDouble / nSamples
-    if (minTail >= local.theta) Some(nucleus(g, k, vs, es, minTail)) else None
+    if (minTail >= local.theta) {
+      val (vs, es) = LocalNucleus.span(local.graph, local.structure.tris, candTris)(seenV, seenE)
+      Some(nucleus(local.graph, k, vs, es, minTail))
+    } else None
   }
 
   /** g's success count per triangle of `ws` over n seeded worlds (the MC
@@ -144,7 +153,7 @@ object GlobalNucleus {
     */
   private[core] def worldCounts(ws: DetNucleus.WorldStructure, nSamples: Int, seed: Long)
                                (credited: Long => Long): Array[Int] = {
-    val counts = new Array[Int](ws.cs.nTriangles)
+    val counts = new Array[Int](ws.nTriangles)
     val rng    = new WorldRng(seed)
     var s = 0
     while (s < nSamples) {

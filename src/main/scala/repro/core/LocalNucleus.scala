@@ -91,16 +91,31 @@ object LocalNucleus {
     Decomposition(g, cs, theta, res.nu, res.initialKappa)
   }
 
-  /** The ℓ-(k,θ)-nuclei for every k in lo..hi, by increasing k, from one
-    * sweep. A nucleus at level k is a set of triangles joined by k-alive
-    * cliques (level ≥ k): this realises both the cliqueness precondition
-    * (nuclei are unions of 4-cliques) and s-connectedness. The cliques are
-    * bucketed by level with one counting sort; the levels are walked from
-    * kMax down, uniting each bucket's cliques into one union-find, and at
-    * each requested level the components of the covered triangles are read
-    * off: ordered by least triangle id, each in increasing order.
+  /** The ℓ-(k,θ)-nuclei for every k in lo..hi, by increasing k: the
+    * [[components]], each spanned in the graph.
     */
   private def nuclei(d: Decomposition, lo: Int, hi: Int): Seq[Nucleus] = {
+    val seenV = new java.util.BitSet(d.graph.n)
+    val seenE = new java.util.BitSet(d.graph.adj.length)
+    components(d, lo, hi).flatMap { case (k, comps) =>
+      comps.map { triIds =>
+        val (vs, es) = span(d.graph, d.structure.tris, triIds)(seenV, seenE)
+        Nucleus(k, triIds, vs, es)
+      }
+    }
+  }
+
+  /** The triangle ids of the ℓ-(k,θ)-nuclei for every k in lo..hi, by
+    * increasing k, from one sweep. A nucleus at level k is a set of
+    * triangles joined by k-alive cliques (level ≥ k): this realises both
+    * the cliqueness precondition (nuclei are unions of 4-cliques) and
+    * s-connectedness. The cliques are bucketed by level with one counting
+    * sort; the levels are walked from kMax down, uniting each bucket's
+    * cliques into one union-find, and at each requested level the
+    * components of the covered triangles are read off: ordered by least
+    * triangle id, each in increasing order.
+    */
+  private[core] def components(d: Decomposition, lo: Int, hi: Int): List[(Int, Seq[Array[Int]])] = {
     val cs    = d.structure
     val ct    = cs.cliqueTris
     val level = d.cliqueLevels
@@ -118,9 +133,7 @@ object LocalNucleus {
 
     val uf      = new UnionFind(cs.nTriangles)
     val covered = new Array[Boolean](cs.nTriangles)
-    val seenV   = new java.util.BitSet(d.graph.n)
-    val seenE   = new java.util.BitSet(d.graph.adj.length)
-    var out     = List.empty[Seq[Nucleus]]
+    var out     = List.empty[(Int, Seq[Array[Int]])]
     var united  = top + 1 // buckets united..top are in the union-find
     var k = math.min(hi, top)
     while (k >= lo) {
@@ -134,13 +147,10 @@ object LocalNucleus {
           i += 1
         }
       }
-      out = uf.components(covered(_)).map { triIds =>
-        val (vs, es) = span(d.graph, cs.tris, triIds)(seenV, seenE)
-        Nucleus(k, triIds, vs, es)
-      } :: out
+      out = (k, uf.components(covered(_))) :: out
       k -= 1
     }
-    out.flatten
+    out
   }
 
   /** The vertices (ascending) and edges (first seen first: (u,v), (u,w),

@@ -12,32 +12,52 @@ package repro.core
   */
 object WeaklyGlobalNucleus {
 
-  /** All w-(k,θ)-nuclei for k = 1..kMax. */
+  /** All w-(k,θ)-nuclei for k = 1..kMax, from one sweep of the ℓ levels. */
   def decompose(local: LocalNucleus.Decomposition, nSamples: Int, seed: Long): Seq[GlobalNucleus.ProbNucleus] = {
     GlobalNucleus.requireSamples(nSamples)
-    (1 to local.kMax).flatMap(k => decomposeAt(local, k, nSamples, seed + 7919L * k))
+    val restrict = new DetNucleus.Restrict(local.graph, local.structure)
+    LocalNucleus.components(local, 1, local.kMax).flatMap { case (k, cands) =>
+      at(local, k, cands, nSamples, seed + 7919L * k, restrict)
+    }
   }
 
   /** w-(k,θ)-nuclei at one level k. */
   def decomposeAt(local: LocalNucleus.Decomposition, k: Int,
                   nSamples: Int, seed: Long): Seq[GlobalNucleus.ProbNucleus] = {
     GlobalNucleus.requireSamples(nSamples)
-    local.nucleiAt(k).zipWithIndex.flatMap { case (cand, ci) =>
-      // candidate graph from the nucleus's edges, spanned once by `nucleiAt` (as in Table 4)
-      val ws    = new DetNucleus.WorldStructure(local.graph.subgraph(cand.edges))
-      val hcs   = ws.cs
-      val tails = weaklyCounts(ws, k, nSamples, seed + ci).map(_.toDouble / nSamples)
-      // qualifying triangles of the candidate, grouped into connected unions
-      // via shared 4-cliques of the candidate
-      val qualify = tails.map(_ >= local.theta)
-      val uf = new UnionFind(hcs.nTriangles)
-      (0 until hcs.nCliques).foreach { c =>
-        val ms = hcs.members(c).filter(qualify(_))
-        ms.foreach(uf.union(_, ms(0)))
+    at(local, k, LocalNucleus.components(local, k, k).flatMap(_._2), nSamples, seed,
+       new DetNucleus.Restrict(local.graph, local.structure))
+  }
+
+  /** Each ℓ-(k,θ)-nucleus, as its triangles `cands(ci)`, is a candidate:
+    * its structure is the ℓ structure restricted to the triangles' edges.
+    * Its qualifying triangles are grouped by its shared 4-cliques, and each
+    * group is reported in ℓ ids.
+    */
+  private def at(local: LocalNucleus.Decomposition, k: Int, cands: Seq[Array[Int]], nSamples: Int, seed: Long,
+                 restrict: DetNucleus.Restrict): Seq[GlobalNucleus.ProbNucleus] = {
+    val seenV = new java.util.BitSet(local.graph.n); val seenE = new java.util.BitSet(local.graph.adj.length)
+    cands.zipWithIndex.flatMap { case (candTris, ci) =>
+      val ws        = restrict(restrict.slotsOf(candTris))
+      val counts    = weaklyCounts(ws, k, nSamples, seed + ci)
+      val qualifies = (t: Int) => counts(t).toDouble / nSamples >= local.theta
+      val uf        = new UnionFind(ws.nTriangles)
+      val ct        = ws.cliqueTris
+      var c = 0
+      while (c < ct.length) {
+        var first = -1; var i = c
+        while (i < c + 4) {
+          if (qualifies(ct(i))) { if (first < 0) first = ct(i) else uf.union(ct(i), first) }
+          i += 1
+        }
+        c += 4
       }
-      uf.components(qualify(_)).map { triIds =>
-        val (vs, es) = LocalNucleus.span(ws.graph, hcs.tris, triIds)()
-        GlobalNucleus.nucleus(ws.graph, k, vs, es, triIds.map(tails).min)
+      uf.components(qualifies).map { triIds =>
+        // the least count gives the least tail; the ids become ℓ's
+        var least = Int.MaxValue; var i = 0
+        while (i < triIds.length) { least = math.min(least, counts(triIds(i))); triIds(i) = ws.triIds(triIds(i)); i += 1 }
+        val (vs, es) = LocalNucleus.span(local.graph, local.structure.tris, triIds)(seenV, seenE)
+        GlobalNucleus.nucleus(local.graph, k, vs, es, least.toDouble / nSamples)
       }
     }
   }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.cliques.FourCliques
 import repro.graph.ProbGraph
 import repro.prob.{Lanes, Sampler, WorldRng}
 import scala.util.Random
@@ -108,12 +109,14 @@ class DetNucleusSpec extends AnyFunSuite {
       val nv = 6 + rnd.nextInt(3)
       val es = for { a <- 0 until nv; b <- a + 1 until nv if rnd.nextDouble() < 0.85 }
         yield (a.toLong, b.toLong, 0.5 + 0.5 * rnd.nextDouble())
-      val ws    = new DetNucleus.WorldStructure(ProbGraph(es))
-      val words = Sampler.sampleBatch(ws.thresholds, rng, 10, new Array[Long](ws.graph.m))
+      val g     = ProbGraph(es)
+      val gcs   = FourCliques.build(g)
+      val ws    = DetNucleus.worldStructure(g, gcs)
+      val words = Sampler.sampleBatch(ws.thresholds, rng, 10, new Array[Long](g.m))
       def load(): Unit = { System.arraycopy(words, 0, ws.edgeW, 0, words.length); ws.setAlive() }
       val worlds = (0 until 10).map { w =>
         val mask  = Lanes.mask(words, w)
-        val world = Sampler.worldGraph(ws.graph, ws.graph.edges, mask)
+        val world = Sampler.worldGraph(g, g.edges, mask)
         (w, mask, world, DetNucleus.decompose(world))
       }
       for (k <- 0 to 3) {
@@ -123,9 +126,9 @@ class DetNucleusSpec extends AnyFunSuite {
         for ((w, mask, world, (cs, nu)) <- worlds) {
           val inWorld = (isNucleus >>> w & 1L) == 1L
           assert(inWorld == DetNucleus.isKNucleus(world, k), s"k=$k world ${mask.mkString(",")}")
-          val byMask = (0 until ws.cs.nTriangles).filter(t => (ws.triW(t) >>> w & 1L) == 1L).map { t =>
-            val l = ws.graph.labels
-            (l(ws.cs.tris.u(t)), l(ws.cs.tris.v(t)), l(ws.cs.tris.w(t)))
+          val byMask = (0 until ws.nTriangles).filter(t => (ws.triW(t) >>> w & 1L) == 1L).map { t =>
+            val l = g.labels
+            (l(gcs.tris.u(t)), l(gcs.tris.v(t)), l(gcs.tris.w(t)))
           }.toSet
           val byRebuild = (0 until cs.nTriangles).filter(nu(_) >= k).map { t =>
             (world.labels(cs.tris.u(t)), world.labels(cs.tris.v(t)), world.labels(cs.tris.w(t)))

@@ -52,9 +52,10 @@ class GlobalWeaklySpec extends AnyFunSuite {
   test("g's and w's world counts allocate only their counts array, at n = 64 as at n = 640") {
     import repro.Allocation.{array, measure}
     val local = LocalNucleus.decompose(GraphGen.dataset("krogan"), 0.1, LocalNucleus.DP)
-    // the largest candidate: krogan's biggest ℓ-nucleus at level 1
-    val ws = new DetNucleus.WorldStructure(local.graph.subgraph(local.nucleiAt(1).maxBy(_.edges.length).edges))
-    val counts = array(4, ws.cs.nTriangles)
+    // the largest candidate: krogan's biggest ℓ-nucleus at level 1, restricted as w builds it
+    val restrict = new DetNucleus.Restrict(local.graph, local.structure)
+    val ws       = restrict(restrict.slotsOf(local.nucleiAt(1).maxBy(_.edges.length).triangleIds))
+    val counts   = array(4, ws.nTriangles)
     def bytes(k: Int, n: Int): (Long, Long) =
       (measure(GlobalNucleus.globalCounts(ws, k, n, 7))._2, measure(WeaklyGlobalNucleus.weaklyCounts(ws, k, n, 7))._2)
     for (_ <- 1 to 3; k <- 1 to 2; n <- Seq(64, 640)) bytes(k, n) // class loading and compilation
@@ -66,7 +67,8 @@ class GlobalWeaklySpec extends AnyFunSuite {
       }
     }
     // a per-batch array of one word per edge would cost more than both slacks
-    assert(9 * array(8, ws.graph.m) > 256, s"${ws.graph.m} edges are too few to show a per-batch array")
+    val m = ws.thresholds.length
+    assert(9 * array(8, m) > 256, s"$m edges are too few to show a per-batch array")
   }
 
   test("sampled worlds follow edge probabilities (law of large numbers)") {

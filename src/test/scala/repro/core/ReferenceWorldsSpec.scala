@@ -1,47 +1,40 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.cliques.FourCliques
 import repro.graph.{GraphGen, ProbGraph}
 import repro.prob.Lanes
 import scala.util.Random
 
 /** The batched world path against `ReferenceWorlds`: g's and w's
-  * per-triangle success counts equal on every candidate, across batch
-  * boundaries, and the batch checks equal on every world of a batch of
-  * random masks.
+  * per-triangle success counts equal on every candidate's restricted
+  * structure, across batch boundaries, and the batch checks equal on every
+  * world of a batch of random masks.
   */
 class ReferenceWorldsSpec extends AnyFunSuite {
 
-  /** g's candidates at level k, each with its seed offset and its structure, as `validate` builds it. */
-  private def gCandidates(local: LocalNucleus.Decomposition, k: Int): Seq[(Int, DetNucleus.WorldStructure)] =
-    ReferenceWorlds.gCandidateEdges(local, k).map { case (t, es) => (t, new DetNucleus.WorldStructure(local.graph.subgraph(es))) }
-
-  /** w's candidates at level k: the ℓ-nuclei, with their index. */
-  private def wCandidates(local: LocalNucleus.Decomposition, k: Int): Seq[(Int, DetNucleus.WorldStructure)] =
-    local.nucleiAt(k).zipWithIndex.map { case (cand, ci) =>
-      (ci, new DetNucleus.WorldStructure(local.graph.subgraph(cand.edges)))
-    }
-
-  /** Compares g's and w's counts on every candidate at every level, seeded
-    * as `decompose` seeds them; returns how many counts lie strictly
-    * between 0 and n.
+  /** Compares g's and w's counts on every candidate at every level, each
+    * structure restricted from the ℓ structure and seeded as `decompose`
+    * builds and seeds it; returns how many counts lie strictly between 0
+    * and n.
     */
   private def assertCounts(what: String, local: LocalNucleus.Decomposition, n: Int,
                            gSeed: Long, wSeed: Long): Int = {
+    val restrict = new DetNucleus.Restrict(local.graph, local.structure)
     var partial = 0
-    def check(kind: String, k: Int, c: Int, got: Array[Int], want: Array[Int]): Unit = {
-      assert(got.sameElements(want), s"$what $kind k=$k candidate $c")
+    for (k <- 1 to local.kMax; c <- ReferenceWorlds.candidates(local, k, restrict)) {
+      val ws    = restrict(c.slots)
+      val probs = c.slots.map(local.graph.adjProb)
+      val (got, want) =
+        if (c.kind == "g") {
+          val seed = gSeed + k + c.offset
+          (GlobalNucleus.globalCounts(ws, k, n, seed), ReferenceWorlds.globalCounts(ws, probs, k, n, seed))
+        } else {
+          val seed = wSeed + 7919L * k + c.offset
+          (WeaklyGlobalNucleus.weaklyCounts(ws, k, n, seed), ReferenceWorlds.weaklyCounts(ws, probs, k, n, seed))
+        }
+      assert(got.sameElements(want), s"$what ${c.kind} k=$k candidate ${c.offset}")
       partial += got.count(x => x > 0 && x < n)
-    }
-    for (k <- 1 to local.kMax) {
-      gCandidates(local, k).foreach { case (t, ws) =>
-        val seed = gSeed + k + t
-        check("g", k, t, GlobalNucleus.globalCounts(ws, k, n, seed), ReferenceWorlds.globalCounts(ws, k, n, seed))
-      }
-      wCandidates(local, k).foreach { case (ci, ws) =>
-        val seed = wSeed + 7919L * k + ci
-        check("w", k, ci, WeaklyGlobalNucleus.weaklyCounts(ws, k, n, seed), ReferenceWorlds.weaklyCounts(ws, k, n, seed))
-      }
     }
     partial
   }
@@ -70,13 +63,14 @@ class ReferenceWorldsSpec extends AnyFunSuite {
       val (local, gSeed, wSeed) = randomLocal(rnd)
       partial += assertCounts(s"trial $trial", local, 100, gSeed, wSeed)
       // and on the whole graph at k = 0 up to one above every triangle's clique count
-      val ws      = new DetNucleus.WorldStructure(local.graph)
+      val ws      = DetNucleus.worldStructure(local.graph, local.structure)
+      val probs   = local.graph.edgeProbs
       val seed    = rnd.nextLong()
-      val support = ws.cs.triCliques.map(_.length)
+      val support = ws.triCliques.map(_.length)
       for (k <- 0 to support.foldLeft(0)(_ max _) + 1) {
-        assert(GlobalNucleus.globalCounts(ws, k, 100, seed).sameElements(ReferenceWorlds.globalCounts(ws, k, 100, seed)),
+        assert(GlobalNucleus.globalCounts(ws, k, 100, seed).sameElements(ReferenceWorlds.globalCounts(ws, probs, k, 100, seed)),
           s"trial $trial whole graph g k=$k")
-        assert(WeaklyGlobalNucleus.weaklyCounts(ws, k, 100, seed).sameElements(ReferenceWorlds.weaklyCounts(ws, k, 100, seed)),
+        assert(WeaklyGlobalNucleus.weaklyCounts(ws, k, 100, seed).sameElements(ReferenceWorlds.weaklyCounts(ws, probs, k, 100, seed)),
           s"trial $trial whole graph w k=$k")
         if (k > 0 && support.exists(s => s > 0 && s < k)) aboveSupport += 1
       }
@@ -113,9 +107,10 @@ class ReferenceWorldsSpec extends AnyFunSuite {
         val nv = 7 + rnd.nextInt(4)
         ((for { a <- 0 until nv; b <- a + 1 until nv if rnd.nextDouble() < 0.75 } yield (a.toLong, b.toLong, 1.0)), None)
       }
-      val ws  = new DetNucleus.WorldStructure(ProbGraph(es))
-      val lab = ws.graph.labels
-      val wes = ws.graph.edges
+      val g   = ProbGraph(es)
+      val ws  = DetNucleus.worldStructure(g, FourCliques.build(g))
+      val lab = g.labels
+      val wes = g.edges
       val m   = wes.length
       // on the two K5s, also the world of two disjoint K4s: 0..3 and 10..13
       val twoK4s = sideA.map { inA =>
